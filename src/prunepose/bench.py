@@ -5,24 +5,20 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dpc import DpcConfig
+from .dpc import NonFiniteTokens
 from .model import (
     FrameTriplet,
     ModelConfig,
     ModelParams,
     TrainingError,
     forward_full,
-    fuse_and_decode,
     heatmap_loss,
-    high_res_branch,
     init_model_params,
-    low_res_branch,
     patch_embed_backbone,
     train_step,
 )
@@ -36,12 +32,9 @@ from .tensor import (
     gelu,
     mac_tally,
     matmul,
-    mean_all,
-    mul,
     permute,
     reshape,
     scale,
-    sub,
     upsample_bilinear,
 )
 
@@ -72,10 +65,9 @@ class BenchConfig:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
 
 
-def _no_prune(cfg: ModelConfig) -> ModelConfig:
-    return replace(cfg,
-                   hr_cfg=replace(cfg.hr_cfg, epsilon=1),
-                   lr_cfg=replace(cfg.lr_cfg, epsilon=1))
+def _with_eps(cfg: ModelConfig, eps_hrb: int, eps_lrb: int) -> ModelConfig:
+    return replace(cfg, hr_cfg=replace(cfg.hr_cfg, epsilon=eps_hrb),
+                   lr_cfg=replace(cfg.lr_cfg, epsilon=eps_lrb))
 
 
 def forward_baseline(triplet: FrameTriplet, cfg: ModelConfig, params: ModelParams):
@@ -138,7 +130,7 @@ def run_bench(bench: BenchConfig) -> dict:
     params = init_model_params(cfg, bench.seed)
     scene = SynthScene(seed=bench.seed, joints=min(cfg.joints, len(DEFAULT_PARENTS)))
     triplet, _, _ = make_triplet_sample(scene, cfg)
-    cfg_a = _no_prune(cfg)
+    cfg_a = _with_eps(cfg, 1, 1)
 
     variants = {
         "baseline": lambda: forward_baseline(triplet, cfg, params),
@@ -156,8 +148,11 @@ def run_bench(bench: BenchConfig) -> dict:
 
 
 def _batch_loss(samples, cfg, params):
-    losses = [heatmap_loss(forward_full(t, cfg, params), constant(g))
-              for t, g in samples]
+    try:
+        losses = [heatmap_loss(forward_full(t, cfg, params), constant(g))
+                  for t, g in samples]
+    except NonFiniteTokens as e:  # features overflowed: treat like a non-finite loss
+        raise TrainingError(f"non-finite features: {e}") from e
     total = losses[0]
     for extra in losses[1:]:
         total = add(total, extra)
@@ -216,9 +211,7 @@ def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
     cells = []
     for eps_hrb in ratios:
         for eps_lrb in ratios:
-            cell_cfg = replace(cfg,
-                               hr_cfg=replace(cfg.hr_cfg, epsilon=eps_hrb),
-                               lr_cfg=replace(cfg.lr_cfg, epsilon=eps_lrb))
+            cell_cfg = _with_eps(cfg, eps_hrb, eps_lrb)
             cell = {"eps_hrb": eps_hrb, "eps_lrb": eps_lrb}
             try:
                 params = init_model_params(cell_cfg, seed)

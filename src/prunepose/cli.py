@@ -21,7 +21,7 @@ from .bench import (
     write_grid_csv,
 )
 from .dpc import DpcConfig
-from .model import ModelConfig
+from .model import ModelConfig, TrainingError
 from .synth import SynthScene, dump_sequence
 
 # small default geometries so grid sweeps and checks stay desk-scale
@@ -165,12 +165,12 @@ def run(argv=None) -> int:
             print(json.dumps({"schema": "prunepose-report-v1", "command": "dump-synth",
                               "out": out, "frames": len(meta["frames"])}, indent=2))
             return 0
-    except UsageError as e:
+    except (UsageError, ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (ValueError, KeyError) as e:
+    except TrainingError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 2
+        return 1
     return 2
 
 

@@ -5,10 +5,16 @@ distance to its k nearest neighbors, divided by a temperature tau) and a
 separation delta (distance to the nearest strictly-denser token; the densest
 token instead takes its largest distance to any token). Tokens with the
 highest rho*delta scores are kept.
+
+Scores match that definition bit for bit at every token count: one
+exact-difference distance kernel, the k nearest summed left to right, and
+rho from ``math.exp`` per token, as ``np.exp``'s vectorized loop can round an
+ulp away from it and a density tie decides delta.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,11 +23,18 @@ __all__ = [
     "DpcConfig",
     "DpcScores",
     "PruneSelection",
+    "NonFiniteTokens",
     "pairwise_sq_dist",
     "local_density",
     "delta_distance",
     "prune",
 ]
+
+ROW_CHUNK = 256  # rows per block in the density and delta passes
+
+
+class NonFiniteTokens(ValueError):
+    """``prune`` was given NaN or infinite tokens."""
 
 
 @dataclass(frozen=True)
@@ -62,28 +75,15 @@ class PruneSelection:
 def pairwise_sq_dist(tokens: np.ndarray) -> np.ndarray:
     """Symmetric matrix of squared Euclidean distances between token rows.
 
-    Computed from explicit coordinate differences (not the expanded
-    dot-product identity) so that nearby tokens do not lose precision to
-    cancellation. Chunked over rows to bound memory for large N.
+    One exact kernel at every N: squared coordinate differences summed left
+    to right (``cdist`` "sqeuclidean"), never ``|a|^2 + |b|^2 - 2ab``, whose
+    cancellation gives nearby and duplicate tokens wrong distances.
     """
     x = np.asarray(tokens, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"tokens must be an NxC matrix, got shape {x.shape}")
-    n = x.shape[0]
-    if n > 512:
-        # BLAS path for large token sets; small-distance rounding is
-        # irrelevant at this scale
-        sq = np.einsum("ic,ic->i", x, x)
-        out = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-        np.maximum(out, 0.0, out=out)
-        out = 0.5 * (out + out.T)
-    else:
-        out = np.empty((n, n))
-        step = max(1, (1 << 22) // max(1, n * x.shape[1]))
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            diff = x[lo:hi, None, :] - x[None, :, :]
-            out[lo:hi] = np.einsum("ijc,ijc->ij", diff, diff)
+    from scipy.spatial.distance import cdist  # here: unpruned paths skip scipy.spatial
+    out = cdist(x, x, "sqeuclidean")
     np.fill_diagonal(out, 0.0)
     return out
 
@@ -97,12 +97,15 @@ def local_density(tokens: np.ndarray, cfg: DpcConfig,
     k_eff = min(cfg.k, n - 1)
     if k_eff <= 0:
         return np.ones(n)
-    # smallest k_eff off-diagonal entries per row; self sits at distance 0,
-    # so take the k_eff+1 smallest and drop the self column
-    part = np.partition(d2 + np.diag(np.full(n, np.inf)), k_eff - 1, axis=1)
-    mean_knn = part[:, :k_eff].mean(axis=1)
+    # a row's k_eff+1 smallest entries are its self distance 0 and its k_eff
+    # nearest others; row blocks keep the partition's copy small
+    nearest = np.empty((n, k_eff))
+    for lo in range(0, n, ROW_CHUNK):
+        part = np.partition(d2[lo:lo + ROW_CHUNK], k_eff, axis=1)[:, :k_eff + 1]
+        nearest[lo:lo + ROW_CHUNK] = np.sort(part, axis=1)[:, 1:]
+    mean_knn = np.cumsum(nearest, axis=1)[:, -1] / k_eff  # cumsum adds strictly left to right
     tau = cfg.resolved_tau(x.shape[1])
-    return np.exp(-mean_knn / tau)
+    return np.array([math.exp(-m / tau) for m in mean_knn.tolist()])
 
 
 def delta_distance(tokens: np.ndarray, rho: np.ndarray,
@@ -117,19 +120,16 @@ def delta_distance(tokens: np.ndarray, rho: np.ndarray,
     rho = np.asarray(rho, dtype=np.float64)
     if rho.shape != (n,):
         raise ValueError(f"rho must have shape ({n},), got {rho.shape}")
-    if n == 1:
-        return np.zeros(1)
     d2 = pairwise_sq_dist(x) if sq_dist is None else sq_dist
-    d = np.sqrt(d2)
     order = np.lexsort((np.arange(n), -rho))  # densest first, index tie-break
-    d_sorted = d[order][:, order]
-    upper = np.arange(n)[None, :] >= np.arange(n)[:, None]
-    masked = np.where(upper, np.inf, d_sorted)  # only strictly-denser (earlier) tokens
-    delta_sorted = masked.min(axis=1)
-    delta_sorted[0] = d_sorted[0].max()
-    delta = np.empty(n)
-    delta[order] = delta_sorted
-    return delta
+    rank = np.argsort(order)  # inverse permutation: rank[i] is token i's place in order
+    nearest = np.empty(n)
+    for lo in range(0, n, ROW_CHUNK):
+        denser = rank[None, :] < rank[lo:lo + ROW_CHUNK, None]
+        nearest[lo:lo + ROW_CHUNK] = np.where(denser, d2[lo:lo + ROW_CHUNK], np.inf).min(axis=1)
+    nearest[order[0]] = d2[order[0]].max()
+    # sqrt is monotone and correctly rounded: sqrt(min(d2)) == min(sqrt(d2))
+    return np.sqrt(nearest)
 
 
 def prune(tokens: np.ndarray, cfg: DpcConfig) -> tuple[DpcScores, PruneSelection]:
@@ -141,6 +141,8 @@ def prune(tokens: np.ndarray, cfg: DpcConfig) -> tuple[DpcScores, PruneSelection
     x = np.asarray(tokens, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] < 1:
         raise ValueError(f"tokens must be a non-empty NxC matrix, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise NonFiniteTokens("tokens must be finite")
     n = x.shape[0]
     d2 = pairwise_sq_dist(x)
     rho = local_density(x, cfg, sq_dist=d2)

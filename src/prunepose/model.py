@@ -19,7 +19,7 @@ from .attention import (
     transformer_block,
     spatio_temporal_block,
 )
-from .dpc import DpcConfig, PruneSelection, prune
+from .dpc import DpcConfig, NonFiniteTokens, PruneSelection, prune
 from .tensor import (
     DiffNode,
     ShapeError,
@@ -328,7 +328,10 @@ def train_step(triplet: FrameTriplet, target, cfg: ModelConfig,
     constants of the forward pass. Returns the pre-update loss."""
     if lr < 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    loss = heatmap_loss(forward_full(triplet, cfg, params), target)
+    try:
+        loss = heatmap_loss(forward_full(triplet, cfg, params), target)
+    except NonFiniteTokens as e:  # features overflowed: treat like a non-finite loss
+        raise TrainingError(f"non-finite features: {e}") from e
     loss_val = float(loss.value.data)
     if not np.isfinite(loss_val):
         raise TrainingError(f"non-finite loss {loss_val!r}")

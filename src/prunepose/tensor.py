@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import erf

@@ -161,6 +161,11 @@ class TestCli:
         assert len(curve_csv) == 27
         assert code in (0, 1)
 
+    def test_train_smoke_divergence_exits_1(self, capsys):
+        code = run(["train-smoke", "--lr", "1e8", "--steps", "20", "--batch", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: non-finite")
+
     def test_ratio_grid_emits_csv(self, tmp_path, capsys):
         out = tmp_path / "grid.json"
         cfg = tmp_path / "grid_cfg.json"

@@ -114,6 +114,13 @@ class TestPrune:
         assert np.all(np.diff(kept) > 0)
         assert len(kept) == 30 // 4
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tokens_rejected(self, bad):
+        x = np.random.default_rng(9).normal(size=(20, 3))
+        x[7, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            prune(x, DpcConfig(epsilon=4))
+
     def test_constant_tokens_tie_break_keeps_prefix(self):
         x = np.ones((12, 3))
         _, sel = prune(x, DpcConfig(epsilon=3))
@@ -136,6 +143,22 @@ class TestOracleEquivalence:
             assert np.allclose(scores.delta, delta_o, rtol=1e-12, atol=1e-15)
             assert np.allclose(scores.score, score_o, rtol=1e-12, atol=1e-15)
             assert sel.kept.tolist() == kept_o
+
+    @pytest.mark.parametrize("seed", [10, 11])
+    def test_large_tight_sets_with_duplicates_match_exactly(self, seed):
+        # past 512 tokens, with a quarter of the rows duplicated and all of
+        # them packed closely: distances and density ties must match the
+        # definition bit for bit, since the tie-break decides the kept set
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(600, 700))
+        x = 0.05 * rng.normal(size=(n, 8)) + 3.0
+        src = rng.integers(0, n, size=n // 4)
+        x[rng.integers(0, n, size=n // 4)] = x[src]
+        scores, sel = prune(x, DpcConfig(k=5, epsilon=6))
+        rho_o, delta_o, _, kept_o = oracle_scores(x.tolist(), 5, 8.0, 6)
+        assert sel.kept.tolist() == kept_o
+        assert np.array_equal(scores.rho, rho_o)
+        assert np.array_equal(scores.delta, delta_o)
 
 
 class TestInvariances:
