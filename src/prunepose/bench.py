@@ -16,6 +16,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     TrainingError,
+    decode_head,
     forward_full,
     heatmap_loss,
     init_model_params,
@@ -29,10 +30,7 @@ from .tensor import (
     backward,
     constant,
     gather_rows,
-    gelu,
     mac_tally,
-    matmul,
-    permute,
     reshape,
     scale,
     upsample_bilinear,
@@ -65,9 +63,11 @@ class BenchConfig:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
 
 
-def _with_eps(cfg: ModelConfig, eps_hrb: int, eps_lrb: int) -> ModelConfig:
-    return replace(cfg, hr_cfg=replace(cfg.hr_cfg, epsilon=eps_hrb),
-                   lr_cfg=replace(cfg.lr_cfg, epsilon=eps_lrb))
+def _with_eps(cfg: ModelConfig, eps_hrb: int | None, eps_lrb: int | None) -> ModelConfig:
+    """``cfg`` with the given pruning ratios; None keeps that branch's ratio."""
+    hr_cfg = cfg.hr_cfg if eps_hrb is None else replace(cfg.hr_cfg, epsilon=eps_hrb)
+    lr_cfg = cfg.lr_cfg if eps_lrb is None else replace(cfg.lr_cfg, epsilon=eps_lrb)
+    return replace(cfg, hr_cfg=hr_cfg, lr_cfg=lr_cfg)
 
 
 def forward_baseline(triplet: FrameTriplet, cfg: ModelConfig, params: ModelParams):
@@ -84,11 +84,7 @@ def forward_baseline(triplet: FrameTriplet, cfg: ModelConfig, params: ModelParam
     key = gather_rows(joint, np.arange(n, 2 * n))
     gh, gw = cfg.grid
     grid = upsample_bilinear(reshape(key, (gh, gw, cfg.embed_dim)), cfg.upsample_factor)
-    dense = reshape(grid, (cfg.hr_tokens, cfg.embed_dim))
-    hidden = gelu(add(matmul(dense, params.head_w1), params.head_b1))
-    logits = add(matmul(hidden, params.head_w2), params.head_b2)
-    hh, hw = cfg.heatmap_size
-    return permute(reshape(logits, (hh, hw, cfg.joints)), (2, 0, 1))
+    return decode_head(reshape(grid, (cfg.hr_tokens, cfg.embed_dim)), cfg, params)
 
 
 def _time_variant(fn, warmup: int, iters: int):

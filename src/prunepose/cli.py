@@ -9,10 +9,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 
 from .bench import (
     BenchConfig,
+    _with_eps,
     run_bench,
     run_gradcheck,
     run_ratio_grid,
@@ -60,12 +60,8 @@ def _load_config(path) -> dict:
 def _resolve_model(args, defaults: dict | None = None) -> ModelConfig:
     raw = dict(defaults or {})
     raw.update(_load_config(args.config).get("model", {}))
-    cfg = _model_config(raw)
-    if getattr(args, "eps_hrb", None) is not None:
-        cfg = replace(cfg, hr_cfg=replace(cfg.hr_cfg, epsilon=args.eps_hrb))
-    if getattr(args, "eps_lrb", None) is not None:
-        cfg = replace(cfg, lr_cfg=replace(cfg.lr_cfg, epsilon=args.eps_lrb))
-    return cfg
+    return _with_eps(_model_config(raw), getattr(args, "eps_hrb", None),
+                     getattr(args, "eps_lrb", None))
 
 
 def _emit(report: dict, out_path):
@@ -76,13 +72,22 @@ def _emit(report: dict, out_path):
     print(text)
 
 
-def _add_common(p):
-    p.add_argument("--config", default=None, help="JSON config file; flags win")
+# flags only the subcommands that read them register, so a flag a
+# subcommand would ignore is a usage error (exit 2)
+_SHARED_FLAGS = {
+    "--config": dict(default=None, help="JSON config file; flags win"),
+    "--eps-hrb": dict(type=int, default=None, help="high-res branch pruning ratio"),
+    "--eps-lrb": dict(type=int, default=None, help="low-res branch pruning ratio"),
+    "--iters": dict(type=int, default=None, help="timed iterations"),
+}
+_MODEL_FLAGS = ("--config", "--eps-hrb", "--eps-lrb")
+
+
+def _add_common(p, *flags):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eps-hrb", type=int, default=None, help="high-res branch pruning ratio")
-    p.add_argument("--eps-lrb", type=int, default=None, help="low-res branch pruning ratio")
     p.add_argument("--out", default=None, help="write the JSON report here")
-    p.add_argument("--iters", type=int, default=None)
+    for flag in flags:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,17 +95,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bench", help="time the baseline / unpruned / pruned variants")
-    _add_common(p)
+    _add_common(p, *_MODEL_FLAGS, "--iters")
     p.add_argument("--warmup", type=int, default=1)
 
     p = sub.add_parser("ratio-grid", help="loss/speed over a grid of pruning ratios")
-    _add_common(p)
+    _add_common(p, "--config", "--iters")  # --ratios sets both epsilons
     p.add_argument("--ratios", type=int, nargs="+", default=[1, 3, 6, 10])
     p.add_argument("--train-steps", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.01)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of all gradients")
-    _add_common(p)
+    _add_common(p, *_MODEL_FLAGS)
     p.add_argument("--eps", type=float, default=1e-4)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--corrupt", default=None, help=argparse.SUPPRESS)  # test hook
@@ -108,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cap checked coordinates per parameter")
 
     p = sub.add_parser("train-smoke", help="short full-model training run")
-    _add_common(p)
+    _add_common(p, *_MODEL_FLAGS)
     p.add_argument("--steps", type=int, default=200)
     p.add_argument("--lr", type=float, default=0.03)
     p.add_argument("--batch", type=int, default=2)

@@ -50,6 +50,7 @@ __all__ = [
     "high_res_branch",
     "low_res_branch",
     "fuse_and_decode",
+    "decode_head",
     "heatmap_loss",
     "forward_full",
     "train_step",
@@ -286,12 +287,15 @@ def fuse_and_decode(f_f: DiffNode, sel_f: PruneSelection, hr_grid: DiffNode,
     """Cross-attend fine tokens onto coarse ones, write them back into the
     dense grid, and project every position to per-joint scores."""
     fused = cross_attention(f_f, f_c, params.fusion)
-    dense = scatter_rows(hr_grid, sel_f.kept, fused)
+    return Heatmap(decode_head(scatter_rows(hr_grid, sel_f.kept, fused), cfg, params))
+
+
+def decode_head(dense: DiffNode, cfg: ModelConfig, params: ModelParams) -> DiffNode:
+    """Project each of the hr grid's rows to per-joint scores, as (J, H, W) maps."""
     hidden = gelu(add(matmul(dense, params.head_w1), params.head_b1))
     logits = add(matmul(hidden, params.head_w2), params.head_b2)
     hh, hw = cfg.heatmap_size
-    maps = permute(reshape(logits, (hh, hw, cfg.joints)), (2, 0, 1))
-    return Heatmap(maps)
+    return permute(reshape(logits, (hh, hw, cfg.joints)), (2, 0, 1))
 
 
 def heatmap_loss(h, g) -> DiffNode:

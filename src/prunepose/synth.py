@@ -79,33 +79,36 @@ def _joint_colors(n: int) -> np.ndarray:
     return cols
 
 
-def _stamp_disc(image: np.ndarray, cx: float, cy: float, radius: float, color):
-    h, w, _ = image.shape
-    x0 = max(0, int(np.floor(cx - radius)))
-    x1 = min(w - 1, int(np.ceil(cx + radius)))
-    y0 = max(0, int(np.floor(cy - radius)))
-    y1 = min(h - 1, int(np.ceil(cy + radius)))
-    if x0 > x1 or y0 > y1:
-        return
-    ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
-    mask = (xs - cx) ** 2 + (ys - cy) ** 2 <= radius ** 2
-    image[y0:y1 + 1, x0:x1 + 1][mask] = color
+def _disc_pixels(cx: np.ndarray, cy: np.ndarray, radius: float, image_size):
+    """(rows, cols) of the in-image pixels within ``radius`` of any center
+    (cx[k], cy[k]), each tested as ``(x-cx)^2 + (y-cy)^2 <= radius^2``."""
+    h, w = image_size
+    span = np.arange(int(np.ceil(2 * radius)) + 2)  # covers floor(c - r) .. ceil(c + r)
+    cx, cy = cx[:, None, None], cy[:, None, None]
+    xs = np.floor(cx - radius).astype(np.intp) + span[None, None, :]
+    ys = np.floor(cy - radius).astype(np.intp) + span[None, :, None]
+    hit = ((xs - cx) ** 2 + (ys - cy) ** 2 <= radius ** 2) & (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
+    ys, xs = np.broadcast_arrays(ys, xs)
+    return ys[hit], xs[hit]
 
 
 def _render_figure(keypoints: np.ndarray, parents, image_size) -> np.ndarray:
     h, w = image_size
     image = np.zeros((h, w, 3))
-    colors = _joint_colors(len(keypoints))
+    # every bone is drawn in one colour, so its discs are painted as one union
+    bones = []
     for j, p in enumerate(parents[:len(keypoints)]):
         if p < 0:
             continue
         a, b = keypoints[p], keypoints[j]
         steps = max(2, int(np.hypot(*(b - a))))
-        for t in np.linspace(0.0, 1.0, steps):
-            pt = a + t * (b - a)
-            _stamp_disc(image, pt[0], pt[1], 1.5, (0.6, 0.6, 0.6))
-    for j, kp in enumerate(keypoints):
-        _stamp_disc(image, kp[0], kp[1], 3.0, colors[j])
+        bones.append(a + np.linspace(0.0, 1.0, steps)[:, None] * (b - a))
+    if bones:
+        centers = np.concatenate(bones)
+        image[_disc_pixels(centers[:, 0], centers[:, 1], 1.5, image_size)] = (0.6, 0.6, 0.6)
+    # joints overlap one another, so they are painted in order
+    for kp, color in zip(keypoints, _joint_colors(len(keypoints))):
+        image[_disc_pixels(kp[:1], kp[1:2], 3.0, image_size)] = color
     return image
 
 

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from prunepose.attention import spatio_temporal_block, transformer_block
 from prunepose.bench import (
     BenchConfig,
     forward_baseline,
@@ -12,8 +13,17 @@ from prunepose.bench import (
 )
 from prunepose.cli import GRID_MODEL, TINY_MODEL, _model_config, run
 from prunepose.dpc import DpcConfig
-from prunepose.model import ModelConfig, init_model_params
+from prunepose.model import ModelConfig, init_model_params, patch_embed_backbone
 from prunepose.synth import SynthScene, make_triplet_sample
+from prunepose.tensor import (
+    add,
+    gather_rows,
+    gelu,
+    matmul,
+    permute,
+    reshape,
+    upsample_bilinear,
+)
 
 TINY = _model_config(TINY_MODEL)
 SMALL_GRID = ModelConfig(image_size=(32, 32), embed_dim=8, joints=2, heads=2)
@@ -36,6 +46,27 @@ class TestBaselineVariant:
         triplet, _, _ = make_triplet_sample(scene, TINY)
         out = forward_baseline(triplet, TINY, params)
         assert out.shape == (TINY.joints, *TINY.heatmap_size)
+
+    @pytest.mark.parametrize("cfg", [TINY, ModelConfig(image_size=(64, 48), embed_dim=16,
+                                                       joints=5, heads=2)])
+    def test_baseline_heatmap_bit_identical_to_inline_head(self, cfg):
+        # the baseline's own decode head, as written before it shared fuse_and_decode's
+        params = init_model_params(cfg, 3)
+        triplet, _, _ = make_triplet_sample(SynthScene(seed=3, joints=cfg.joints), cfg)
+        joint = spatio_temporal_block(patch_embed_backbone(triplet, cfg, params), params.st)
+        for b in params.branch_blocks:
+            joint = transformer_block(joint, b)
+        n = cfg.tokens_per_frame
+        key = gather_rows(joint, np.arange(n, 2 * n))
+        gh, gw = cfg.grid
+        grid = upsample_bilinear(reshape(key, (gh, gw, cfg.embed_dim)), cfg.upsample_factor)
+        dense = reshape(grid, (cfg.hr_tokens, cfg.embed_dim))
+        hidden = gelu(add(matmul(dense, params.head_w1), params.head_b1))
+        logits = add(matmul(hidden, params.head_w2), params.head_b2)
+        hh, hw = cfg.heatmap_size
+        want = permute(reshape(logits, (hh, hw, cfg.joints)), (2, 0, 1))
+        got = forward_baseline(triplet, cfg, params)
+        assert np.array_equal(got.value.data, want.value.data)
 
 
 class TestRatioGrid:
@@ -178,6 +209,22 @@ class TestCli:
         rows = (tmp_path / "grid.json.csv").read_text().splitlines()
         assert rows[0].startswith("eps_hrb,eps_lrb")
         assert len(rows) == 5
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--iters", "3"],
+        ["train-smoke", "--iters", "3"],
+        ["dump-synth", "--iters", "3"],
+        ["dump-synth", "--config", "cfg.json"],
+        ["dump-synth", "--eps-hrb", "2"],
+        ["dump-synth", "--eps-lrb", "2"],
+        ["ratio-grid", "--eps-hrb", "2"],
+        ["ratio-grid", "--eps-lrb", "2"],
+    ])
+    def test_ignored_flag_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_dump_synth(self, tmp_path, capsys):
         out = tmp_path / "dump"

@@ -1,6 +1,12 @@
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
+import prunepose.dpc as dpc
 from prunepose.dpc import (
     DpcConfig,
     delta_distance,
@@ -10,6 +16,35 @@ from prunepose.dpc import (
 )
 
 from dpc_oracle import oracle_scores
+
+
+def dense_reference(x, k, tau, epsilon):
+    """(rho, delta, kept) from the full N x N ``cdist`` matrix: the definition
+    with the oracle's arithmetic, computed densely and without the Gram filter."""
+    n = x.shape[0]
+    d2 = cdist(x, x, "sqeuclidean")
+    k_eff = min(k, n - 1)
+    if k_eff == 0:
+        rho = np.ones(n)
+    else:
+        nearest = np.sort(np.partition(d2, k_eff, axis=1)[:, :k_eff + 1], axis=1)[:, 1:]
+        sums = [sum(row) for row in nearest.tolist()]  # left to right
+        rho = np.array([math.exp(-(s / k_eff) / tau) for s in sums])
+    order = np.lexsort((np.arange(n), -rho))
+    rank = np.argsort(order)
+    delta = np.where(rank[None, :] < rank[:, None], d2, np.inf).min(axis=1)
+    delta[order[0]] = d2[order[0]].max()
+    delta = np.sqrt(delta)
+    kept = np.sort(np.lexsort((np.arange(n), -(rho * delta)))[:max(1, n // epsilon)])
+    return rho, delta, kept
+
+
+def assert_matches_dense_reference(x, cfg):
+    scores, sel = prune(x, cfg)
+    rho, delta, kept = dense_reference(x, cfg.k, cfg.resolved_tau(x.shape[1]), cfg.epsilon)
+    assert np.array_equal(scores.rho, rho)
+    assert np.array_equal(scores.delta, delta)
+    assert np.array_equal(sel.kept, kept)
 
 
 class TestPairwiseSqDist:
@@ -159,6 +194,108 @@ class TestOracleEquivalence:
         assert sel.kept.tolist() == kept_o
         assert np.array_equal(scores.rho, rho_o)
         assert np.array_equal(scores.delta, delta_o)
+
+
+class TestFilterAndRefine:
+    """The Gram filter only shortlists; rho, delta and the kept set must equal
+    the dense exact computation bit for bit."""
+
+    def test_default_hr_size_with_duplicates(self):
+        rng = np.random.default_rng(20)
+        n, c = 3072, 32
+        x = rng.normal(size=(n, c))
+        x[rng.integers(0, n, size=n // 4)] = x[rng.integers(0, n, size=n // 4)]
+        assert_matches_dense_reference(x, DpcConfig(k=5, epsilon=6))
+
+    def test_near_cancellation_with_short_lists(self):
+        # P's rounding reorders close neighbours here, yet the shortlists stay
+        # sparse: only the 2*bound margin keeps the exact nearest in them
+        x = 1e3 + 1e-3 * np.random.default_rng(5).normal(size=(1024, 16))
+        assert_matches_dense_reference(x, DpcConfig(k=5, epsilon=6))
+
+    def test_cancellation_falls_back_to_dense_blocks_in_bounded_memory(self, monkeypatch):
+        # offsets of 1e3 make the bound exceed every gap between distances,
+        # so each row shortlists every column and is refined densely
+        rng = np.random.default_rng(21)
+        n, c = 3072, 32
+        x = 1e3 + 1e-4 * rng.normal(size=(n, c))
+        _, _, bound = dpc._gram_filter(x)
+        gaps = np.diff(np.sort(pairwise_sq_dist(x[:64])[0]))
+        assert 2 * bound > gaps.max()
+        shapes = []
+        exact = dpc._exact_sq
+
+        def spy(a, b):
+            out = exact(a, b)
+            shapes.append(out.shape)
+            return out
+
+        monkeypatch.setattr(dpc, "_exact_sq", spy)
+        tracemalloc.start()
+        try:
+            scores, sel = prune(x, DpcConfig(k=5, epsilon=6))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (dpc.ROW_CHUNK, n) in shapes  # a dense block was refined
+        assert peak < n * n * 8 / 2  # never an N x N matrix
+        rho, delta, kept = dense_reference(x, 5, float(c), 6)
+        assert np.array_equal(scores.rho, rho)
+        assert np.array_equal(scores.delta, delta)
+        assert np.array_equal(sel.kept, kept)
+
+    def test_all_identical_rows(self):
+        x = np.tile(np.random.default_rng(22).normal(size=(1, 8)), (3072, 1))
+        scores, sel = prune(x, DpcConfig(k=5, epsilon=6))
+        assert np.array_equal(scores.rho, np.ones(3072))
+        assert np.array_equal(scores.delta, np.zeros(3072))
+        assert sel.kept.tolist() == list(range(512))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_squares_skip_the_filter(self):
+        # squares of 1e155 overflow, so the bound is infinite and every block
+        # is refined densely; rho is 0 and the scores are NaN, as in the definition
+        x = 1e155 * np.random.default_rng(3).normal(size=(300, 4))
+        x[:10] *= 1e-150
+        assert not np.isfinite(dpc._gram_filter(x)[2])
+        scores, sel = prune(x, DpcConfig(k=3, epsilon=6))
+        rho, delta, kept = dense_reference(x, 3, 4.0, 6)
+        assert np.array_equal(scores.rho, rho)
+        assert np.array_equal(scores.delta, delta)
+        assert np.array_equal(sel.kept, kept)
+
+    @pytest.mark.parametrize("n,c,k", [(1, 1, 5), (1, 4, 1), (2, 1, 1), (2, 3, 5),
+                                       (5, 1, 5), (6, 1, 9), (40, 1, 3)])
+    def test_edge_sizes_match_oracle(self, n, c, k):
+        x = np.round(np.random.default_rng(n * 10 + c).normal(size=(n, c)), 1)
+        scores, sel = prune(x, DpcConfig(k=k, epsilon=2))
+        rho_o, delta_o, _, kept_o = oracle_scores(x.tolist(), k, float(c), 2)
+        assert np.array_equal(scores.rho, rho_o)
+        assert np.array_equal(scores.delta, delta_o)
+        assert sel.kept.tolist() == kept_o
+
+    @pytest.mark.parametrize("case", ["normal", "offset", "mixed_scale", "tiny", "huge",
+                                      "duplicates", "one_column", "wide"])
+    def test_filter_error_within_bound(self, case):
+        rng = np.random.default_rng(sum(map(ord, case)))
+        x = {
+            "normal": lambda: rng.normal(size=(40, 8)),
+            "offset": lambda: 1e3 + 1e-4 * rng.normal(size=(40, 8)),
+            "mixed_scale": lambda: rng.normal(size=(40, 8)) * 10.0 ** rng.integers(-8, 8, size=(40, 1)),
+            "tiny": lambda: 1e-160 * rng.normal(size=(40, 8)),
+            "huge": lambda: 1e150 * rng.normal(size=(40, 8)),
+            "duplicates": lambda: np.repeat(rng.normal(size=(10, 8)), 4, axis=0),
+            "one_column": lambda: rng.normal(size=(40, 1)),
+            "wide": lambda: rng.normal(size=(20, 96)),
+        }[case]()
+        left, right, bound = dpc._gram_filter(x)
+        p = left @ right
+        e = pairwise_sq_dist(x)
+        bound = Fraction(bound)
+        for i in range(x.shape[0]):
+            norm = sum(Fraction(v) ** 2 for v in x[i].tolist())  # |x_i|^2 exactly
+            for j in range(x.shape[0]):
+                assert abs(Fraction(p[i, j]) - (Fraction(e[i, j]) - norm)) <= bound
 
 
 class TestInvariances:

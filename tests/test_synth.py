@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from prunepose.model import ModelConfig
 from prunepose.synth import (
+    DEFAULT_PARENTS,
     BoundingBox,
     SynthScene,
     bbox_from_keypoints,
@@ -18,6 +20,49 @@ from prunepose.synth import (
     render_gaussian_heatmaps,
     write_pgm,
 )
+from prunepose.synth import _joint_colors, _render_figure
+
+# SHA-256 of the three float64 frames of generate_sequence(SynthScene(seed,
+# image_size=size), 3), recorded when every disc was stamped one at a time
+# (numpy 2.4, x86-64); the (64, 96) scenes clip the figure at the borders
+FRAME_HASHES = {
+    ((256, 256), 0): "650e31d9d6ed554248ad969a9910b28ffaf1812707a560b03a00a7b2916e43db",
+    ((256, 256), 1): "1df22b350c6d63bb8edeb90d1df7d4a222cf1327b92d670d2517723b32df6b81",
+    ((256, 256), 2): "5847416f516f08d8e6c0f35aaafb73af44c91aba56aad283e7e7268da6afbe5f",
+    ((256, 256), 3): "33cd4c6d9d87784a27b8d6f4595d111e9d2b555331f413cddad5eaf245316872",
+    ((256, 256), 4): "1787fddf43c14d5ffb90d5c992136a4b3acc14e2063ab22d03b485039a64885f",
+    ((256, 256), 12345): "dfda9e5c77fe65105aa95eb5c140950bc8bc608886585a033951d837b65f00d2",
+    ((64, 96), 0): "169590eec255ce7159633ec02376353565c2c4dfda9ddc17ef78aafe66695533",
+    ((64, 96), 1): "0c1964387a93757ba9a92237305a3c51f88b855381b3a1659419d5965e1664a3",
+    ((64, 96), 2): "b06232abb7e9e0e8206e09bdcbd9624ea87021ba6e4483002fac434f3ebfc9f3",
+    ((64, 96), 3): "04155de9b1205d1989b4401eb65731b9c077c4040c07d2a62cae1bc23e8ba322",
+    ((64, 96), 4): "78fe1023d1385a7c2da4bfbe3fe2200109b3b70bbd15d593aa8156e141b9a1e9",
+    ((64, 96), 12345): "8a8c6489836e7b0a2ace57d6ae7e8c014cdfbc0074cb96cf12bf81e21a735179",
+}
+
+
+def stamped_one_disc_at_a_time(keypoints, parents, image_size):
+    """Reference painter: every bone step and joint stamped as its own disc."""
+    h, w = image_size
+    image = np.zeros((h, w, 3))
+
+    def stamp(cx, cy, radius, color):
+        x0, x1 = max(0, int(np.floor(cx - radius))), min(w - 1, int(np.ceil(cx + radius)))
+        y0, y1 = max(0, int(np.floor(cy - radius))), min(h - 1, int(np.ceil(cy + radius)))
+        if x0 > x1 or y0 > y1:
+            return
+        ys, xs = np.mgrid[y0:y1 + 1, x0:x1 + 1]
+        image[y0:y1 + 1, x0:x1 + 1][(xs - cx) ** 2 + (ys - cy) ** 2 <= radius ** 2] = color
+
+    for j, p in enumerate(parents[:len(keypoints)]):
+        if p >= 0:
+            a, b = keypoints[p], keypoints[j]
+            for t in np.linspace(0.0, 1.0, max(2, int(np.hypot(*(b - a))))):
+                pt = a + t * (b - a)
+                stamp(pt[0], pt[1], 1.5, (0.6, 0.6, 0.6))
+    for j, kp in enumerate(keypoints):
+        stamp(kp[0], kp[1], 3.0, _joint_colors(len(keypoints))[j])
+    return image
 
 
 class TestGenerateSequence:
@@ -51,6 +96,22 @@ class TestGenerateSequence:
     def test_too_short_rejected(self):
         with pytest.raises(ValueError):
             generate_sequence(SynthScene(), 2)
+
+    @pytest.mark.parametrize("size,seed", sorted(FRAME_HASHES))
+    def test_frames_match_recorded_hashes(self, size, seed):
+        digest = hashlib.sha256()
+        for image, _ in generate_sequence(SynthScene(seed=seed, image_size=size), 3):
+            digest.update(np.ascontiguousarray(image).tobytes())
+        assert digest.hexdigest() == FRAME_HASHES[(size, seed)]
+
+    def test_render_matches_one_disc_at_a_time(self):
+        rng = np.random.default_rng(13)
+        for size in [(48, 40), (96, 128)]:
+            for _ in range(10):
+                # keypoints anywhere in the frame, some on or just past its edges
+                kps = rng.uniform(-3.0, 1.0, size=(15, 2)) + rng.random((15, 2)) * size[::-1]
+                assert np.array_equal(_render_figure(kps, DEFAULT_PARENTS, size),
+                                      stamped_one_disc_at_a_time(kps, DEFAULT_PARENTS, size))
 
     def test_bad_scene_rejected(self):
         with pytest.raises(ValueError):
