@@ -2,7 +2,9 @@
 gradients against central finite differences.
 
 Also shows the MAC tally, which counts multiply-accumulates for every matmul
-and bilinear upsample executed inside the context.
+and bilinear upsample executed inside the context. A node's ``value`` and
+``grad`` are plain numpy arrays; parameters are ``constant`` leaves that
+training updates in place.
 """
 
 import numpy as np
@@ -15,7 +17,6 @@ from prunepose.tensor import (
     mac_tally,
     matmul,
     mean_all,
-    parameter,
     softmax_rows,
     upsample_bilinear,
 )
@@ -24,8 +25,8 @@ rng = np.random.default_rng(0)
 
 # a two-layer toy network ending in a scalar
 x = constant(rng.normal(size=(4, 6)))
-w1 = parameter(rng.normal(scale=0.3, size=(6, 8)), name="w1")
-w2 = parameter(rng.normal(scale=0.3, size=(8, 3)), name="w2")
+w1 = constant(rng.normal(scale=0.3, size=(6, 8)), name="w1")
+w2 = constant(rng.normal(scale=0.3, size=(8, 3)), name="w2")
 
 with mac_tally() as tally:
     hidden = gelu(matmul(x, w1))
@@ -46,9 +47,9 @@ print(f"finite-difference check: max relative error {err:.3e}")
 assert err < 1e-6
 
 # upsampling is differentiable too, and its MACs are counted
-img = parameter(rng.normal(size=(4, 4, 2)))
+img = constant(rng.normal(size=(4, 4, 2)))
 with mac_tally() as tally:
     big = upsample_bilinear(img, 4)
 backward(mean_all(big))
 print(f"4x bilinear upsample: {img.shape} -> {big.shape}, "
-      f"{tally.macs} MACs, grad sums to {img.grad.data.sum():.6f}")
+      f"{tally.macs} MACs, grad sums to {img.grad.sum():.6f}")

@@ -30,7 +30,7 @@ triplet, target, _ = make_triplet_sample(scene, cfg)
 
 print("step  loss")
 for step in range(15):
-    loss, params = train_step(triplet, target, cfg, params, lr=0.03)
+    loss = train_step(triplet, target, cfg, params, lr=0.03)
     if step % 3 == 0 or step == 14:
         print(f"{step:4d}  {loss:.5f}")
 
@@ -46,6 +46,6 @@ for label, variant in (("pruned", cfg), ("unpruned", unpruned)):
     for _ in range(5):
         forward_full(triplet, variant, params)
     ms = (time.perf_counter() - t0) / 5 * 1e3
-    final = float(heatmap_loss(maps, constant(target)).value.data)
+    final = float(heatmap_loss(maps, constant(target)).value)
     print(f"{label:9s} {tally.macs:>12,d} MACs  {ms:6.1f} ms/forward  "
           f"loss {final:.5f}")

@@ -4,12 +4,10 @@ two-branch attention encoder, and benchmarking around them."""
 from .tensor import (
     DiffNode,
     ShapeError,
-    Tensor,
     backward,
     constant,
     finite_diff_check,
     mac_tally,
-    parameter,
 )
 from .dpc import DpcConfig, DpcScores, PruneSelection, prune
 from .attention import (

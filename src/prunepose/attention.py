@@ -10,17 +10,13 @@ from .tensor import (
     DiffNode,
     ShapeError,
     add,
-    concat_cols,
+    attention,
     concat_rows,
+    constant,
     gather_rows,
     gelu,
     layer_norm_rows,
     matmul,
-    parameter,
-    scale,
-    slice_cols,
-    softmax_rows,
-    transpose,
 )
 
 __all__ = [
@@ -73,7 +69,7 @@ class SpatioTemporalParams:
 def init_attention(rng: np.random.Generator, width: int, heads: int,
                    prefix: str = "attn") -> AttentionParams:
     std = 1.0 / np.sqrt(width)
-    mk = lambda name: parameter(rng.normal(0.0, std, (width, width)), f"{prefix}.{name}")
+    mk = lambda name: constant(rng.normal(0.0, std, (width, width)), f"{prefix}.{name}")
     return AttentionParams(mk("w_q"), mk("w_k"), mk("w_v"), mk("w_o"), heads)
 
 
@@ -83,14 +79,14 @@ def init_block(rng: np.random.Generator, width: int, heads: int,
     std = 1.0 / np.sqrt(width)
     return BlockParams(
         attention=init_attention(rng, width, heads, f"{prefix}.attn"),
-        mlp_w1=parameter(rng.normal(0.0, std, (width, hidden)), f"{prefix}.mlp_w1"),
-        mlp_b1=parameter(np.zeros(hidden), f"{prefix}.mlp_b1"),
-        mlp_w2=parameter(rng.normal(0.0, 1.0 / np.sqrt(hidden), (hidden, width)), f"{prefix}.mlp_w2"),
-        mlp_b2=parameter(np.zeros(width), f"{prefix}.mlp_b2"),
-        ln1_gain=parameter(np.ones(width), f"{prefix}.ln1_gain"),
-        ln1_bias=parameter(np.zeros(width), f"{prefix}.ln1_bias"),
-        ln2_gain=parameter(np.ones(width), f"{prefix}.ln2_gain"),
-        ln2_bias=parameter(np.zeros(width), f"{prefix}.ln2_bias"),
+        mlp_w1=constant(rng.normal(0.0, std, (width, hidden)), f"{prefix}.mlp_w1"),
+        mlp_b1=constant(np.zeros(hidden), f"{prefix}.mlp_b1"),
+        mlp_w2=constant(rng.normal(0.0, 1.0 / np.sqrt(hidden), (hidden, width)), f"{prefix}.mlp_w2"),
+        mlp_b2=constant(np.zeros(width), f"{prefix}.mlp_b2"),
+        ln1_gain=constant(np.ones(width), f"{prefix}.ln1_gain"),
+        ln1_bias=constant(np.zeros(width), f"{prefix}.ln1_bias"),
+        ln2_gain=constant(np.ones(width), f"{prefix}.ln2_gain"),
+        ln2_bias=constant(np.zeros(width), f"{prefix}.ln2_bias"),
     )
 
 
@@ -98,22 +94,8 @@ def init_spatio_temporal(rng: np.random.Generator, width: int, heads: int,
                          frames: int = 3, prefix: str = "st") -> SpatioTemporalParams:
     return SpatioTemporalParams(
         block=init_block(rng, width, heads, f"{prefix}.block"),
-        frame_embed=parameter(rng.normal(0.0, 0.02, (frames, width)), f"{prefix}.frame_embed"),
+        frame_embed=constant(rng.normal(0.0, 0.02, (frames, width)), f"{prefix}.frame_embed"),
     )
-
-
-def _attend(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
-    """Per-head scaled dot-product attention; heads split along columns."""
-    c = q.shape[1]
-    d = c // heads
-    outs = []
-    for h in range(heads):
-        qh = slice_cols(q, h * d, (h + 1) * d)
-        kh = slice_cols(k, h * d, (h + 1) * d)
-        vh = slice_cols(v, h * d, (h + 1) * d)
-        logits = scale(matmul(qh, transpose(kh)), 1.0 / np.sqrt(d))
-        outs.append(matmul(softmax_rows(logits), vh))
-    return outs[0] if heads == 1 else concat_cols(outs)
 
 
 def multi_head_self_attention(x: DiffNode, p: AttentionParams) -> DiffNode:
@@ -122,7 +104,7 @@ def multi_head_self_attention(x: DiffNode, p: AttentionParams) -> DiffNode:
     q = matmul(x, p.w_q)
     k = matmul(x, p.w_k)
     v = matmul(x, p.w_v)
-    return matmul(_attend(q, k, v, p.heads), p.w_o)
+    return matmul(attention(q, k, v, p.heads), p.w_o)
 
 
 def cross_attention(f_fine: DiffNode, f_coarse: DiffNode,
@@ -135,7 +117,7 @@ def cross_attention(f_fine: DiffNode, f_coarse: DiffNode,
     q = matmul(f_fine, p.w_q)
     k = matmul(f_coarse, p.w_k)
     v = matmul(f_coarse, p.w_v)
-    return matmul(_attend(q, k, v, p.heads), p.w_o)
+    return matmul(attention(q, k, v, p.heads), p.w_o)
 
 
 def _mlp(x: DiffNode, p: BlockParams) -> DiffNode:

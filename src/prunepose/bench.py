@@ -16,6 +16,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     TrainingError,
+    _sgd,
     decode_head,
     forward_full,
     heatmap_loss,
@@ -172,15 +173,13 @@ def run_train_smoke(cfg: ModelConfig, steps: int = 200, lr: float = 0.03,
     curve = []
     for step in range(steps):
         loss = _batch_loss(samples, cfg, params)
-        loss_val = float(loss.value.data)
+        loss_val = float(loss.value)
         if not np.isfinite(loss_val):
             raise TrainingError(f"non-finite loss at step {step}")
         curve.append(loss_val)
         backward(loss)
-        if lr > 0:
-            for _, p in params.named_parameters():
-                p.value.data -= lr * p.grad.data
-    final = float(_batch_loss(samples, cfg, params).value.data)
+        _sgd(params, lr)
+    final = float(_batch_loss(samples, cfg, params).value)
     curve.append(final)
     return {
         "schema": REPORT_SCHEMA,
@@ -214,9 +213,9 @@ def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
                 scene = SynthScene(seed=seed, joints=cell_cfg.joints)
                 triplet, target, _ = make_triplet_sample(scene, cell_cfg)
                 for _ in range(train_steps):
-                    _, params = train_step(triplet, target, cell_cfg, params, lr)
+                    train_step(triplet, target, cell_cfg, params, lr)
                 loss = float(heatmap_loss(forward_full(triplet, cell_cfg, params),
-                                          constant(target)).value.data)
+                                          constant(target)).value)
                 timing = _time_variant(lambda: forward_full(triplet, cell_cfg, params),
                                        warmup=1, iters=iters)
                 cell.update(final_loss=loss, macs=timing["macs"],
@@ -278,7 +277,7 @@ def run_gradcheck(cfg: ModelConfig, seed: int = 0, eps: float = 1e-4,
 
     loss = loss_at()
     backward(loss)
-    grads = {name: p.grad.data.copy() for name, p in params.named_parameters()}
+    grads = {name: p.grad.copy() for name, p in params.named_parameters()}
     if corrupt is not None:
         if corrupt not in grads:
             raise KeyError(f"unknown parameter {corrupt!r}")
@@ -287,7 +286,7 @@ def run_gradcheck(cfg: ModelConfig, seed: int = 0, eps: float = 1e-4,
     worst_err = 0.0
     worst_name = None
     for name, p in params.named_parameters():
-        flat = p.value.data.ravel()
+        flat = p.value.ravel()
         gflat = grads[name].ravel()
         n_coords = flat.size
         if max_coords_per_param is not None:
@@ -295,9 +294,9 @@ def run_gradcheck(cfg: ModelConfig, seed: int = 0, eps: float = 1e-4,
         for i in range(n_coords):
             orig = flat[i]
             flat[i] = orig + eps
-            hi = float(loss_at().value.data)
+            hi = float(loss_at().value)
             flat[i] = orig - eps
-            lo = float(loss_at().value.data)
+            lo = float(loss_at().value)
             flat[i] = orig
             central = (hi - lo) / (2.0 * eps)
             err = abs(gflat[i] - central) / max(1.0, abs(central))

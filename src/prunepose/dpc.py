@@ -46,6 +46,7 @@ __all__ = [
     "local_density",
     "delta_distance",
     "prune",
+    "select",
 ]
 
 ROW_CHUNK = 256  # rows per block in the density and delta passes
@@ -260,3 +261,11 @@ def prune(tokens: np.ndarray, cfg: DpcConfig) -> tuple[DpcScores, PruneSelection
     by_score = np.lexsort((np.arange(n), -score))
     kept = np.sort(by_score[:n_keep])
     return DpcScores(rho=rho, delta=delta, score=score), PruneSelection(kept=kept, epsilon=cfg.epsilon)
+
+
+def select(tokens: np.ndarray, cfg: DpcConfig) -> PruneSelection:
+    """The tokens to keep: all of them at epsilon 1, without a scoring pass,
+    else the selection of :func:`prune`."""
+    if cfg.epsilon == 1:
+        return PruneSelection(kept=np.arange(len(tokens)), epsilon=1)
+    return prune(tokens, cfg)[1]

@@ -4,13 +4,12 @@ pruning, cross-attention fusion, and a heatmap head."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
 from .attention import (
     AttentionParams,
-    BlockParams,
     SpatioTemporalParams,
     cross_attention,
     init_attention,
@@ -19,7 +18,7 @@ from .attention import (
     transformer_block,
     spatio_temporal_block,
 )
-from .dpc import DpcConfig, NonFiniteTokens, PruneSelection, prune
+from .dpc import DpcConfig, NonFiniteTokens, PruneSelection, select
 from .tensor import (
     DiffNode,
     ShapeError,
@@ -31,7 +30,6 @@ from .tensor import (
     matmul,
     mean_all,
     mul,
-    parameter,
     permute,
     reshape,
     scatter_rows,
@@ -156,40 +154,23 @@ class ModelParams:
     head_b2: DiffNode
 
     def named_parameters(self) -> list:
-        """Flat (name, node) list covering every trainable leaf."""
-        out = []
+        """Flat (name, node) list of every trainable leaf, in field declaration
+        order; a leaf reached twice (shared blocks) is listed once."""
+        out, seen = [], set()
 
-        def block_items(prefix, b: BlockParams):
-            a = b.attention
-            yield from [
-                (f"{prefix}.attn.w_q", a.w_q), (f"{prefix}.attn.w_k", a.w_k),
-                (f"{prefix}.attn.w_v", a.w_v), (f"{prefix}.attn.w_o", a.w_o),
-                (f"{prefix}.mlp_w1", b.mlp_w1), (f"{prefix}.mlp_b1", b.mlp_b1),
-                (f"{prefix}.mlp_w2", b.mlp_w2), (f"{prefix}.mlp_b2", b.mlp_b2),
-                (f"{prefix}.ln1_gain", b.ln1_gain), (f"{prefix}.ln1_bias", b.ln1_bias),
-                (f"{prefix}.ln2_gain", b.ln2_gain), (f"{prefix}.ln2_bias", b.ln2_bias),
-            ]
+        def walk(x):
+            if isinstance(x, DiffNode):
+                if id(x) not in seen:
+                    seen.add(id(x))
+                    out.append((x.name, x))
+            elif isinstance(x, list):
+                for item in x:
+                    walk(item)
+            elif is_dataclass(x):
+                for f in fields(x):
+                    walk(getattr(x, f.name))
 
-        out.append(("patch_proj", self.patch_proj))
-        out.append(("patch_bias", self.patch_bias))
-        out.append(("pos_embed", self.pos_embed))
-        if self.hr_pos_embed is not None:
-            out.append(("hr_pos_embed", self.hr_pos_embed))
-        for i, b in enumerate(self.backbone_blocks):
-            out.extend(block_items(f"backbone.{i}", b))
-        out.extend(block_items("st.block", self.st.block))
-        out.append(("st.frame_embed", self.st.frame_embed))
-        for i, b in enumerate(self.branch_blocks):
-            out.extend(block_items(f"branch.{i}", b))
-        a = self.fusion
-        out.extend([
-            ("fusion.w_q", a.w_q), ("fusion.w_k", a.w_k),
-            ("fusion.w_v", a.w_v), ("fusion.w_o", a.w_o),
-        ])
-        out.extend([
-            ("head_w1", self.head_w1), ("head_b1", self.head_b1),
-            ("head_w2", self.head_w2), ("head_b2", self.head_b2),
-        ])
+        walk(self)
         return out
 
 
@@ -199,11 +180,11 @@ def init_model_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     patch_in = cfg.patch * cfg.patch * 3
     hr_pos = None
     if cfg.add_hr_pos_embed:
-        hr_pos = parameter(rng.normal(0.0, 0.02, (cfg.hr_tokens, c)), "hr_pos_embed")
+        hr_pos = constant(rng.normal(0.0, 0.02, (cfg.hr_tokens, c)), "hr_pos_embed")
     return ModelParams(
-        patch_proj=parameter(rng.normal(0.0, 1.0 / np.sqrt(patch_in), (patch_in, c)), "patch_proj"),
-        patch_bias=parameter(np.zeros(c), "patch_bias"),
-        pos_embed=parameter(rng.normal(0.0, 0.02, (cfg.tokens_per_frame, c)), "pos_embed"),
+        patch_proj=constant(rng.normal(0.0, 1.0 / np.sqrt(patch_in), (patch_in, c)), "patch_proj"),
+        patch_bias=constant(np.zeros(c), "patch_bias"),
+        pos_embed=constant(rng.normal(0.0, 0.02, (cfg.tokens_per_frame, c)), "pos_embed"),
         hr_pos_embed=hr_pos,
         backbone_blocks=[init_block(rng, c, cfg.heads, f"backbone.{i}")
                          for i in range(cfg.backbone_depth)],
@@ -211,10 +192,10 @@ def init_model_params(cfg: ModelConfig, seed: int = 0) -> ModelParams:
         branch_blocks=[init_block(rng, c, cfg.heads, f"branch.{i}")
                        for i in range(cfg.blocks_per_branch)],
         fusion=init_attention(rng, c, cfg.heads, "fusion"),
-        head_w1=parameter(rng.normal(0.0, 1.0 / np.sqrt(c), (c, c)), "head_w1"),
-        head_b1=parameter(np.zeros(c), "head_b1"),
-        head_w2=parameter(rng.normal(0.0, 1.0 / np.sqrt(c), (c, cfg.joints)), "head_w2"),
-        head_b2=parameter(np.zeros(cfg.joints), "head_b2"),
+        head_w1=constant(rng.normal(0.0, 1.0 / np.sqrt(c), (c, c)), "head_w1"),
+        head_b1=constant(np.zeros(c), "head_b1"),
+        head_w2=constant(rng.normal(0.0, 1.0 / np.sqrt(c), (c, cfg.joints)), "head_w2"),
+        head_b2=constant(np.zeros(cfg.joints), "head_b2"),
     )
 
 
@@ -257,10 +238,7 @@ def high_res_branch(f_t: DiffNode, cfg: ModelConfig, params: ModelParams,
     if params.hr_pos_embed is not None:
         flat = add(flat, params.hr_pos_embed)
     if selection is None:
-        if cfg.hr_cfg.epsilon == 1:  # identity selection; skip the scoring pass
-            selection = PruneSelection(kept=np.arange(cfg.hr_tokens), epsilon=1)
-        else:
-            _, selection = prune(flat.value.data, cfg.hr_cfg)
+        selection = select(flat.value, cfg.hr_cfg)
     tokens = gather_rows(flat, selection.kept)
     for b in params.branch_blocks:
         tokens = transformer_block(tokens, b)
@@ -272,10 +250,7 @@ def low_res_branch(frames, cfg: ModelConfig, params: ModelParams,
     """Joint spatio-temporal attention over all frames, then prune and refine."""
     joint = spatio_temporal_block(frames, params.st)
     if selection is None:
-        if cfg.lr_cfg.epsilon == 1:
-            selection = PruneSelection(kept=np.arange(joint.shape[0]), epsilon=1)
-        else:
-            _, selection = prune(joint.value.data, cfg.lr_cfg)
+        selection = select(joint.value, cfg.lr_cfg)
     tokens = gather_rows(joint, selection.kept)
     for b in params.branch_blocks:
         tokens = transformer_block(tokens, b)
@@ -326,24 +301,30 @@ def forward_full(triplet: FrameTriplet, cfg: ModelConfig, params: ModelParams,
     return heatmap
 
 
+def _sgd(params: ModelParams, lr: float):
+    """One gradient descent update of every parameter, in place."""
+    if lr > 0:
+        for _, p in params.named_parameters():
+            p.value -= lr * p.grad
+
+
 def train_step(triplet: FrameTriplet, target, cfg: ModelConfig,
-               params: ModelParams, lr: float):
-    """One full-batch gradient descent step; selections are treated as
-    constants of the forward pass. Returns the pre-update loss."""
+               params: ModelParams, lr: float) -> float:
+    """One full-batch gradient descent step on ``params``, in place;
+    selections are treated as constants of the forward pass. Returns the
+    pre-update loss."""
     if lr < 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
     try:
         loss = heatmap_loss(forward_full(triplet, cfg, params), target)
     except NonFiniteTokens as e:  # features overflowed: treat like a non-finite loss
         raise TrainingError(f"non-finite features: {e}") from e
-    loss_val = float(loss.value.data)
+    loss_val = float(loss.value)
     if not np.isfinite(loss_val):
         raise TrainingError(f"non-finite loss {loss_val!r}")
     backward(loss)
-    if lr > 0:
-        for _, p in params.named_parameters():
-            p.value.data -= lr * p.grad.data
-    return loss_val, params
+    _sgd(params, lr)
+    return loss_val
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +335,7 @@ def save_checkpoint(path, params: ModelParams):
     payload = {
         "magic": CHECKPOINT_MAGIC,
         "params": {
-            name: {"shape": list(p.shape), "data": p.value.data.ravel().tolist()}
+            name: {"shape": list(p.shape), "data": p.value.ravel().tolist()}
             for name, p in params.named_parameters()
         },
     }
@@ -375,5 +356,5 @@ def load_checkpoint(path, params: ModelParams):
         entry = stored[name]
         if tuple(entry["shape"]) != p.shape:
             raise ShapeError(f"{name}: checkpoint shape {entry['shape']} != {p.shape}")
-        p.value.data[...] = np.array(entry["data"]).reshape(p.shape)
+        p.value[...] = np.array(entry["data"]).reshape(p.shape)
     return params

@@ -1,8 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Everything is plain numpy under the hood. A ``DiffNode`` wraps a ``Tensor``
-value together with the bookkeeping needed to run a backward pass from a
-scalar output. All operations are pure: they never modify their inputs.
+Everything is plain numpy under the hood. A ``DiffNode`` holds its value as
+a float64 ndarray together with the bookkeeping needed to run a backward pass
+from a scalar output. All operations are pure: they never modify their inputs.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from scipy.special import erf
 
 __all__ = [
     "ShapeError",
-    "Tensor",
     "DiffNode",
     "constant",
-    "parameter",
     "backward",
     "matmul",
     "add",
@@ -29,12 +27,12 @@ __all__ = [
     "sum_all",
     "mean_all",
     "softmax_rows",
+    "attention",
     "gelu",
     "layer_norm_rows",
     "upsample_bilinear",
     "gather_rows",
     "scatter_rows",
-    "slice_cols",
     "concat_rows",
     "reshape",
     "permute",
@@ -46,32 +44,6 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Raised when operand shapes do not conform."""
-
-
-class Tensor:
-    """Immutable-by-convention dense array of float64 values."""
-
-    __slots__ = ("data",)
-
-    def __init__(self, data):
-        arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"
 
 
 # ---------------------------------------------------------------------------
@@ -119,16 +91,20 @@ def mac_tally():
 class DiffNode:
     """A value in the computation graph.
 
-    ``grad`` is populated (as a Tensor of the same shape) by :func:`backward`
-    run from a scalar output. Leaf nodes are created with :func:`constant` or
-    :func:`parameter`; interior nodes carry a vector-Jacobian-product closure.
+    ``value`` is a float64 C-contiguous ndarray. ``grad`` is populated (as an
+    ndarray of the same shape) by :func:`backward` run from a scalar output.
+    Leaf nodes are created with :func:`constant`; interior nodes carry a
+    vector-Jacobian-product closure.
     """
 
     __slots__ = ("value", "grad", "parents", "_vjp", "name")
 
     def __init__(self, value, parents=(), vjp=None, name: str | None = None):
-        self.value = value if isinstance(value, Tensor) else Tensor(value)
-        self.grad: Tensor | None = None
+        value = np.asarray(value, dtype=np.float64)
+        if value.ndim and not value.flags["C_CONTIGUOUS"]:
+            value = np.ascontiguousarray(value)
+        self.value = value
+        self.grad: np.ndarray | None = None
         self.parents: tuple = tuple(parents)
         self._vjp = vjp
         self.name = name
@@ -143,11 +119,7 @@ class DiffNode:
 
 
 def constant(data, name: str | None = None) -> DiffNode:
-    return DiffNode(data, name=name)
-
-
-def parameter(data, name: str | None = None) -> DiffNode:
-    """Alias of :func:`constant`; parameters are just leaves that get updated."""
+    """A leaf node; parameters are leaves that training updates in place."""
     return DiffNode(data, name=name)
 
 
@@ -180,7 +152,7 @@ def backward(root: DiffNode):
         g = grads.pop(id(node), None)
         if g is None:
             g = np.zeros(node.shape)
-        node.grad = Tensor(g)
+        node.grad = g
         if node._vjp is None:
             continue
         parent_grads = node._vjp(g)
@@ -189,7 +161,7 @@ def backward(root: DiffNode):
                 continue
             acc = grads.get(id(p))
             if acc is None:
-                grads[id(p)] = np.array(pg, dtype=np.float64, copy=True)
+                grads[id(p)] = np.array(pg, dtype=np.float64, order="C")
             else:
                 acc += pg
 
@@ -210,7 +182,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
     """Matrix product of two 2-D nodes."""
-    av, bv = a.value.data, b.value.data
+    av, bv = a.value, b.value
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul shapes do not conform: {av.shape} x {bv.shape}")
     m, k = av.shape
@@ -225,7 +197,7 @@ def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
 
 
 def add(a: DiffNode, b: DiffNode) -> DiffNode:
-    av, bv = a.value.data, b.value.data
+    av, bv = a.value, b.value
     try:
         out = av + bv
     except ValueError as e:
@@ -238,7 +210,7 @@ def add(a: DiffNode, b: DiffNode) -> DiffNode:
 
 
 def sub(a: DiffNode, b: DiffNode) -> DiffNode:
-    av, bv = a.value.data, b.value.data
+    av, bv = a.value, b.value
     try:
         out = av - bv
     except ValueError as e:
@@ -251,7 +223,7 @@ def sub(a: DiffNode, b: DiffNode) -> DiffNode:
 
 
 def mul(a: DiffNode, b: DiffNode) -> DiffNode:
-    av, bv = a.value.data, b.value.data
+    av, bv = a.value, b.value
     try:
         out = av * bv
     except ValueError as e:
@@ -264,40 +236,86 @@ def mul(a: DiffNode, b: DiffNode) -> DiffNode:
 
 
 def scale(a: DiffNode, s: float) -> DiffNode:
-    out = a.value.data * s
+    out = a.value * s
     return DiffNode(out, (a,), lambda g: (g * s,))
 
 
 def sum_all(a: DiffNode) -> DiffNode:
-    out = np.array(a.value.data.sum())
+    out = np.array(a.value.sum())
     return DiffNode(out, (a,), lambda g: (np.broadcast_to(g, a.shape).copy(),))
 
 
 def mean_all(a: DiffNode) -> DiffNode:
     n = a.value.size
-    out = np.array(a.value.data.mean())
+    out = np.array(a.value.mean())
     return DiffNode(out, (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis, stabilized by max subtraction."""
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient at the logits of ``s = _softmax(logits)``, given ``g`` at ``s``."""
+    return s * (g - (g * s).sum(axis=-1, keepdims=True))
 
 
 def softmax_rows(x: DiffNode) -> DiffNode:
     """Row-wise softmax of a 2-D node, stabilized by max subtraction."""
-    xv = x.value.data
+    xv = x.value
     if xv.ndim != 2:
         raise ShapeError(f"softmax_rows expects a matrix, got shape {xv.shape}")
-    shifted = xv - xv.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=1, keepdims=True)
+    s = _softmax(xv)
+    return DiffNode(s, (x,), lambda g: (_softmax_vjp(s, g),))
+
+
+def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
+    """(N, heads * d) -> a (heads, N, d) view; head h holds columns h*d:(h+1)*d."""
+    return x.reshape(x.shape[0], heads, -1).transpose(1, 0, 2)
+
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`_split_heads`, as a new (N, heads * d) array."""
+    return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
+
+
+def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
+    """Multi-head scaled dot-product attention, heads split along columns.
+
+    ``q`` is (Nq, C) and ``k``, ``v`` are (Nk, C). Head h attends with columns
+    h*d:(h+1)*d, d = C // heads, and writes the same columns of the (Nq, C)
+    output. The backward pass keeps only the (heads, Nq, Nk) softmax.
+    """
+    qv, kv, vv = q.value, k.value, v.value
+    if (qv.ndim != 2 or kv.ndim != 2 or kv.shape != vv.shape
+            or qv.shape[1] != kv.shape[1]):
+        raise ShapeError(f"attention shapes do not conform: q {qv.shape}, "
+                         f"k {kv.shape}, v {vv.shape}")
+    (nq, c), nk = qv.shape, kv.shape[0]
+    if heads < 1 or c % heads:
+        raise ShapeError(f"width {c} not divisible by {heads} heads")
+    d = c // heads
+    qh, kh, vh = (_split_heads(x, heads) for x in (qv, kv, vv))
+    s = 1.0 / np.sqrt(d)
+    _record_macs(2 * heads * nq * nk * d)
+    p = _softmax((qh @ kh.transpose(0, 2, 1)) * s)
+    out = _merge_heads(p @ vh)
 
     def vjp(g):
-        dot = (g * s).sum(axis=1, keepdims=True)
-        return (s * (g - dot),)
+        gh = _split_heads(g, heads)
+        g_logits = _softmax_vjp(p, gh @ vh.transpose(0, 2, 1)) * s
+        return (_merge_heads(g_logits @ kh),
+                _merge_heads(g_logits.transpose(0, 2, 1) @ qh),
+                _merge_heads(p.transpose(0, 2, 1) @ gh))
 
-    return DiffNode(s, (x,), vjp)
+    return DiffNode(out, (q, k, v), vjp)
 
 
 def gelu(x: DiffNode) -> DiffNode:
     """Exact (erf-based) GELU, elementwise."""
-    xv = x.value.data
+    xv = x.value
     cdf = 0.5 * (1.0 + erf(xv / np.sqrt(2.0)))
     out = xv * cdf
 
@@ -311,7 +329,7 @@ def gelu(x: DiffNode) -> DiffNode:
 def layer_norm_rows(x: DiffNode, gain: DiffNode, bias: DiffNode,
                     eps: float = 1e-5) -> DiffNode:
     """Normalize each row of a 2-D node, then apply elementwise gain and bias."""
-    xv = x.value.data
+    xv = x.value
     if xv.ndim != 2:
         raise ShapeError(f"layer_norm_rows expects a matrix, got shape {xv.shape}")
     n = xv.shape[1]
@@ -319,7 +337,7 @@ def layer_norm_rows(x: DiffNode, gain: DiffNode, bias: DiffNode,
     var = xv.var(axis=1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (xv - mu) * inv
-    gv, bv = gain.value.data, bias.value.data
+    gv, bv = gain.value, bias.value
     out = xhat * gv + bv
 
     def vjp(g):
@@ -347,7 +365,7 @@ def upsample_bilinear(x: DiffNode, factor: int) -> DiffNode:
     """Upsample an HxWxC node by an integer factor per spatial side."""
     if not isinstance(factor, (int, np.integer)) or factor < 1:
         raise ValueError(f"upsample factor must be a positive integer, got {factor!r}")
-    xv = x.value.data
+    xv = x.value
     if xv.ndim != 3:
         raise ShapeError(f"upsample_bilinear expects HxWxC, got shape {xv.shape}")
     if factor == 1:
@@ -394,7 +412,7 @@ def _check_row_indices(idx, n: int) -> np.ndarray:
 
 def gather_rows(x: DiffNode, idx) -> DiffNode:
     """Select rows of a 2-D node in the given order."""
-    xv = x.value.data
+    xv = x.value
     if xv.ndim != 2:
         raise ShapeError(f"gather_rows expects a matrix, got shape {xv.shape}")
     idx = _check_row_indices(idx, xv.shape[0])
@@ -410,7 +428,7 @@ def gather_rows(x: DiffNode, idx) -> DiffNode:
 
 def scatter_rows(base: DiffNode, idx, rows: DiffNode) -> DiffNode:
     """Overwrite the given rows of a copy of ``base`` with ``rows``."""
-    bv, rv = base.value.data, rows.value.data
+    bv, rv = base.value, rows.value
     if bv.ndim != 2 or rv.ndim != 2 or bv.shape[1] != rv.shape[1]:
         raise ShapeError(f"scatter_rows shapes do not conform: {bv.shape}, {rv.shape}")
     idx = _check_row_indices(idx, bv.shape[0])
@@ -427,27 +445,13 @@ def scatter_rows(base: DiffNode, idx, rows: DiffNode) -> DiffNode:
     return DiffNode(out, (base, rows), vjp)
 
 
-def slice_cols(x: DiffNode, start: int, stop: int) -> DiffNode:
-    xv = x.value.data
-    if xv.ndim != 2 or not (0 <= start < stop <= xv.shape[1]):
-        raise ShapeError(f"bad column slice [{start}:{stop}] for shape {xv.shape}")
-    out = xv[:, start:stop].copy()
-
-    def vjp(g):
-        gx = np.zeros_like(xv)
-        gx[:, start:stop] = g
-        return (gx,)
-
-    return DiffNode(out, (x,), vjp)
-
-
 def concat_rows(nodes: Sequence[DiffNode]) -> DiffNode:
     nodes = list(nodes)
-    widths = {n.value.data.shape[1] for n in nodes}
+    widths = {n.value.shape[1] for n in nodes}
     if len(widths) != 1:
         raise ShapeError(f"concat_rows widths differ: {sorted(widths)}")
-    sizes = [n.value.data.shape[0] for n in nodes]
-    out = np.concatenate([n.value.data for n in nodes], axis=0)
+    sizes = [n.value.shape[0] for n in nodes]
+    out = np.concatenate([n.value for n in nodes], axis=0)
     splits = np.cumsum(sizes)[:-1]
 
     def vjp(g):
@@ -456,23 +460,8 @@ def concat_rows(nodes: Sequence[DiffNode]) -> DiffNode:
     return DiffNode(out, tuple(nodes), vjp)
 
 
-def concat_cols(nodes: Sequence[DiffNode]) -> DiffNode:
-    nodes = list(nodes)
-    heights = {n.value.data.shape[0] for n in nodes}
-    if len(heights) != 1:
-        raise ShapeError(f"concat_cols heights differ: {sorted(heights)}")
-    sizes = [n.value.data.shape[1] for n in nodes]
-    out = np.concatenate([n.value.data for n in nodes], axis=1)
-    splits = np.cumsum(sizes)[:-1]
-
-    def vjp(g):
-        return tuple(np.split(g, splits, axis=1))
-
-    return DiffNode(out, tuple(nodes), vjp)
-
-
 def reshape(x: DiffNode, shape) -> DiffNode:
-    xv = x.value.data
+    xv = x.value
     out = xv.reshape(shape)
     return DiffNode(out.copy(), (x,), lambda g: (g.reshape(xv.shape),))
 
@@ -480,12 +469,8 @@ def reshape(x: DiffNode, shape) -> DiffNode:
 def permute(x: DiffNode, axes) -> DiffNode:
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    out = np.transpose(x.value.data, axes)
+    out = np.transpose(x.value, axes)
     return DiffNode(out.copy(), (x,), lambda g: (np.transpose(g, inverse),))
-
-
-def transpose(x: DiffNode) -> DiffNode:
-    return permute(x, (1, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -500,22 +485,22 @@ def finite_diff_check(f: Callable[[DiffNode], DiffNode], x, eps: float = 1e-5) -
     """
     if not (0.0 < eps <= 1e-2):
         raise ValueError(f"eps must lie in (0, 1e-2], got {eps}")
-    base = np.array(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
+    base = np.array(x, dtype=np.float64)
     leaf = DiffNode(base.copy())
     out = f(leaf)
     if out.value.size != 1:
         raise ShapeError(f"finite_diff_check needs a scalar function, got shape {out.shape}")
     backward(out)
-    analytic = leaf.grad.data
+    analytic = leaf.grad
 
     worst = 0.0
     flat = base.ravel()
     for i in range(flat.size):
         orig = flat[i]
         flat[i] = orig + eps
-        hi = float(f(DiffNode(base.copy())).value.data)
+        hi = float(f(DiffNode(base.copy())).value)
         flat[i] = orig - eps
-        lo = float(f(DiffNode(base.copy())).value.data)
+        lo = float(f(DiffNode(base.copy())).value)
         flat[i] = orig
         central = (hi - lo) / (2.0 * eps)
         err = abs(analytic.ravel()[i] - central) / max(1.0, abs(central))

@@ -27,7 +27,7 @@ def zero_block(rng, c, heads):
     b = init_block(rng, c, heads)
     for node in (b.attention.w_q, b.attention.w_k, b.attention.w_v, b.attention.w_o,
                  b.mlp_w1, b.mlp_b1, b.mlp_w2, b.mlp_b2):
-        node.value.data[...] = 0.0
+        node.value[...] = 0.0
     return b
 
 
@@ -48,25 +48,25 @@ def naive_attention(q, k, v, heads):
 class TestSelfAttention:
     def test_single_token_identity_projections(self):
         x = np.array([[1.0, -2.0, 0.5]])
-        out = multi_head_self_attention(constant(x), identity_params(3)).value.data
+        out = multi_head_self_attention(constant(x), identity_params(3)).value
         assert np.allclose(out, x, atol=1e-15)
 
     def test_identical_tokens_identical_outputs(self):
         rng = np.random.default_rng(0)
         row = rng.normal(size=4)
         x = np.tile(row, (2, 1))
-        out = multi_head_self_attention(constant(x), random_params(rng, 4, 2)).value.data
+        out = multi_head_self_attention(constant(x), random_params(rng, 4, 2)).value
         assert np.allclose(out[0], out[1], atol=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(1)
         x = rng.normal(size=(4, 8))
         p = random_params(rng, 8, 2)
-        out = multi_head_self_attention(constant(x), p).value.data
-        q = x @ p.w_q.value.data
-        k = x @ p.w_k.value.data
-        v = x @ p.w_v.value.data
-        expected = naive_attention(q, k, v, 2) @ p.w_o.value.data
+        out = multi_head_self_attention(constant(x), p).value
+        q = x @ p.w_q.value
+        k = x @ p.w_k.value
+        v = x @ p.w_v.value
+        expected = naive_attention(q, k, v, 2) @ p.w_o.value
         assert np.allclose(out, expected, rtol=1e-10, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
@@ -82,7 +82,7 @@ class TestCrossAttention:
     def test_single_pair_identity(self):
         f = constant(np.array([[3.0]]))
         c = constant(np.array([[-1.5]]))
-        out = cross_attention(f, c, identity_params(1)).value.data
+        out = cross_attention(f, c, identity_params(1)).value
         assert np.allclose(out, [[-1.5]], atol=1e-15)
 
     def test_constant_coarse_values(self):
@@ -90,7 +90,7 @@ class TestCrossAttention:
         v = rng.normal(size=4)
         coarse = np.tile(v, (5, 1))
         fine = rng.normal(size=(3, 4))
-        out = cross_attention(constant(fine), constant(coarse), identity_params(4, 2)).value.data
+        out = cross_attention(constant(fine), constant(coarse), identity_params(4, 2)).value
         assert np.allclose(out, np.tile(v, (3, 1)), rtol=1e-12)
 
     def test_matches_naive_oracle(self):
@@ -98,10 +98,10 @@ class TestCrossAttention:
         fine = rng.normal(size=(3, 4))
         coarse = rng.normal(size=(5, 4))
         p = random_params(rng, 4, 2)
-        out = cross_attention(constant(fine), constant(coarse), p).value.data
-        q = fine @ p.w_q.value.data
-        k = coarse @ p.w_k.value.data
-        v = coarse @ p.w_v.value.data
+        out = cross_attention(constant(fine), constant(coarse), p).value
+        q = fine @ p.w_q.value
+        k = coarse @ p.w_k.value
+        v = coarse @ p.w_v.value
         n, c = q.shape
         d = c // 2
         mixed = np.zeros((n, c))
@@ -109,7 +109,7 @@ class TestCrossAttention:
             logits = q[:, h * d:(h + 1) * d] @ k[:, h * d:(h + 1) * d].T / np.sqrt(d)
             e = np.exp(logits - logits.max(axis=1, keepdims=True))
             mixed[:, h * d:(h + 1) * d] = (e / e.sum(axis=1, keepdims=True)) @ v[:, h * d:(h + 1) * d]
-        assert np.allclose(out, mixed @ p.w_o.value.data, rtol=1e-10, atol=1e-12)
+        assert np.allclose(out, mixed @ p.w_o.value, rtol=1e-10, atol=1e-12)
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ShapeError):
@@ -121,8 +121,8 @@ class TestCrossAttention:
         fine = rng.normal(size=(6, 4))
         coarse = rng.normal(size=(7, 4))
         p = random_params(rng, 4, 1)
-        q = fine @ p.w_q.value.data
-        k = coarse @ p.w_k.value.data
+        q = fine @ p.w_q.value
+        k = coarse @ p.w_k.value
         logits = q @ k.T / 2.0
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         w = e / e.sum(axis=1, keepdims=True)
@@ -134,7 +134,7 @@ class TestTransformerBlock:
     def test_zero_weights_is_identity(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(4, 6))
-        out = transformer_block(constant(x), zero_block(rng, 6, 2)).value.data
+        out = transformer_block(constant(x), zero_block(rng, 6, 2)).value
         assert np.allclose(out, x, atol=1e-15)
 
     @pytest.mark.parametrize("n,c,heads", [(1, 4, 1), (5, 8, 2), (3, 6, 3)])
@@ -155,8 +155,8 @@ class TestTransformerBlock:
         x = rng.normal(size=(5, 4))
         p = init_block(rng, 4, 2)
         perm = rng.permutation(5)
-        out = transformer_block(constant(x), p).value.data
-        out_p = transformer_block(constant(x[perm]), p).value.data
+        out = transformer_block(constant(x), p).value
+        out_p = transformer_block(constant(x[perm]), p).value
         assert np.allclose(out_p, out[perm], rtol=1e-10, atol=1e-12)
 
 
@@ -165,9 +165,9 @@ class TestSpatioTemporalBlock:
         rng = np.random.default_rng(9)
         st = init_spatio_temporal(rng, 4, 2)
         st.block = zero_block(rng, 4, 2)
-        st.frame_embed.value.data[...] = 0.0
+        st.frame_embed.value[...] = 0.0
         frame = rng.normal(size=(3, 4))
-        out = spatio_temporal_block([constant(frame)] * 3, st).value.data
+        out = spatio_temporal_block([constant(frame)] * 3, st).value
         assert np.allclose(out, np.concatenate([frame] * 3, axis=0), atol=1e-15)
 
     def test_output_token_count(self):
@@ -182,9 +182,9 @@ class TestSpatioTemporalBlock:
         st.block = zero_block(rng, 4, 2)
         frames = [rng.normal(size=(4, 4)) for _ in range(3)]
         perm = rng.permutation(4)
-        out = spatio_temporal_block([constant(f) for f in frames], st).value.data
+        out = spatio_temporal_block([constant(f) for f in frames], st).value
         permuted_first = [frames[0][perm], frames[1], frames[2]]
-        out_p = spatio_temporal_block([constant(f) for f in permuted_first], st).value.data
+        out_p = spatio_temporal_block([constant(f) for f in permuted_first], st).value
         assert np.allclose(out_p[:4], out[:4][perm], atol=1e-15)
         assert np.allclose(out_p[4:], out[4:], atol=1e-15)
 

@@ -66,7 +66,7 @@ class TestBaselineVariant:
         hh, hw = cfg.heatmap_size
         want = permute(reshape(logits, (hh, hw, cfg.joints)), (2, 0, 1))
         got = forward_baseline(triplet, cfg, params)
-        assert np.array_equal(got.value.data, want.value.data)
+        assert np.array_equal(got.value, want.value)
 
 
 class TestRatioGrid:

@@ -162,6 +162,30 @@ class TestPrune:
         assert sel.kept.tolist() == [0, 1, 2, 3]
 
 
+class TestSelect:
+    def test_epsilon_one_skips_scoring(self, monkeypatch):
+        def no_prune(*args):
+            raise AssertionError("prune called at epsilon 1")
+
+        monkeypatch.setattr(dpc, "prune", no_prune)
+        sel = dpc.select(np.full((9, 2), np.nan), DpcConfig(epsilon=1))
+        assert sel.kept.tolist() == list(range(9)) and sel.epsilon == 1
+
+    def test_calls_prune_positionally_through_the_module(self, monkeypatch):
+        x = np.random.default_rng(5).normal(size=(30, 3))
+        cfg = DpcConfig(epsilon=4)
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append((args, kwargs))
+            return prune(*args, **kwargs)
+
+        monkeypatch.setattr(dpc, "prune", spy)
+        sel = dpc.select(x, cfg)
+        assert len(calls) == 1 and calls[0][0][0] is x and not calls[0][1]
+        assert np.array_equal(sel.kept, prune(x, cfg)[1].kept)
+
+
 class TestOracleEquivalence:
     def test_random_sets_match_brute_force(self):
         rng = np.random.default_rng(42)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -51,22 +53,22 @@ class TestPatchEmbed:
         cfg = ModelConfig(image_size=(32, 32), embed_dim=8, joints=2, heads=2,
                           backbone_depth=0)
         params = init_model_params(cfg, 0)
-        params.patch_bias.value.data[...] = 0.0
+        params.patch_bias.value[...] = 0.0
         zeros = np.zeros((32, 32, 3))
         triplet = FrameTriplet(images=(zeros, zeros, zeros))
         frames = patch_embed_backbone(triplet, cfg, params)
-        assert np.allclose(frames[0].value.data, params.pos_embed.value.data, atol=1e-15)
+        assert np.allclose(frames[0].value, params.pos_embed.value, atol=1e-15)
 
     def test_patch_projection_is_linear(self):
         cfg = ModelConfig(image_size=(32, 32), embed_dim=8, joints=2, heads=2,
                           backbone_depth=0)
         params = init_model_params(cfg, 0)
-        params.patch_bias.value.data[...] = 0.0
-        params.pos_embed.value.data[...] = 0.0
+        params.patch_bias.value[...] = 0.0
+        params.pos_embed.value[...] = 0.0
         img = np.random.default_rng(0).random((32, 32, 3))
         single = patch_embed_backbone(FrameTriplet(images=(img,) * 3), cfg, params)
         double = patch_embed_backbone(FrameTriplet(images=(2 * img,) * 3), cfg, params)
-        assert np.allclose(double[0].value.data, 2 * single[0].value.data, rtol=1e-12)
+        assert np.allclose(double[0].value, 2 * single[0].value, rtol=1e-12)
 
     def test_size_mismatch_rejected(self, default_setup):
         cfg, params, _, _ = default_setup
@@ -99,7 +101,7 @@ class TestBranches:
         params = init_model_params(cfg, 0)
         f_t = constant(np.ones((cfg.tokens_per_frame, cfg.embed_dim)))
         _, sel, grid = high_res_branch(f_t, cfg, params)
-        assert np.allclose(grid.value.data, 1.0)
+        assert np.allclose(grid.value, 1.0)
         n_keep = cfg.hr_tokens // cfg.hr_cfg.epsilon
         assert sel.kept.tolist() == list(range(n_keep))
 
@@ -116,11 +118,11 @@ class TestBranches:
         frames = patch_embed_backbone(triplet, TINY, params)
         f_f_before, sel, grid = high_res_branch(frames[1], TINY, params)
         f_c_before, sel_c = low_res_branch(frames, TINY, params)
-        params.branch_blocks[0].mlp_w2.value.data[...] += 0.1
+        params.branch_blocks[0].mlp_w2.value[...] += 0.1
         f_f_after, _, _ = high_res_branch(frames[1], TINY, params, selection=sel)
         f_c_after, _ = low_res_branch(frames, TINY, params, selection=sel_c)
-        assert not np.allclose(f_f_before.value.data, f_f_after.value.data)
-        assert not np.allclose(f_c_before.value.data, f_c_after.value.data)
+        assert not np.allclose(f_f_before.value, f_f_after.value)
+        assert not np.allclose(f_c_before.value, f_c_after.value)
 
 
 class TestFuseAndDecode:
@@ -133,12 +135,12 @@ class TestFuseAndDecode:
     def test_zero_head_weights_give_zero_heatmap(self, tiny_sample):
         triplet, _, _ = tiny_sample
         params = init_model_params(TINY, 1)
-        params.head_w1.value.data[...] = 0.0
-        params.head_b1.value.data[...] = 0.0
-        params.head_w2.value.data[...] = 0.0
-        params.head_b2.value.data[...] = 0.0
+        params.head_w1.value[...] = 0.0
+        params.head_b1.value[...] = 0.0
+        params.head_w2.value[...] = 0.0
+        params.head_b2.value[...] = 0.0
         hm = forward_full(triplet, TINY, params)
-        assert np.all(hm.maps.value.data == 0.0)
+        assert np.all(hm.maps.value == 0.0)
 
     def test_full_selection_overwrites_entire_grid(self, tiny_sample):
         from dataclasses import replace
@@ -154,20 +156,20 @@ class TestFuseAndDecode:
         f_c, _ = low_res_branch(frames, cfg, params)
         fused = cross_attention(f_f, f_c, params.fusion)
         dense = scatter_rows(grid, sel.kept, fused)
-        assert np.array_equal(dense.value.data, fused.value.data)
+        assert np.array_equal(dense.value, fused.value)
 
 
 class TestHeatmapLoss:
     def test_zero_iff_equal(self):
         h = constant(np.random.default_rng(0).normal(size=(2, 4, 4)))
-        assert float(heatmap_loss(h, h).value.data) == 0.0
-        g = constant(h.value.data + 1e-6)
-        assert float(heatmap_loss(h, g).value.data) > 0.0
+        assert float(heatmap_loss(h, h).value) == 0.0
+        g = constant(h.value + 1e-6)
+        assert float(heatmap_loss(h, g).value) > 0.0
 
     def test_unit_difference_gives_one(self):
         h = constant(np.ones((3, 5, 5)))
         g = constant(np.zeros((3, 5, 5)))
-        assert float(heatmap_loss(h, g).value.data) == 1.0
+        assert float(heatmap_loss(h, g).value) == 1.0
 
     def test_matches_element_loop_oracle(self):
         rng = np.random.default_rng(1)
@@ -179,7 +181,7 @@ class TestHeatmapLoss:
                 for x in range(4):
                     acc += (a[j, y, x] - b[j, y, x]) ** 2
         expected = acc / 24.0
-        got = float(heatmap_loss(constant(a), constant(b)).value.data)
+        got = float(heatmap_loss(constant(a), constant(b)).value)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
@@ -191,15 +193,15 @@ class TestHeatmapLoss:
         for _ in range(10):
             h = constant(rng.normal(size=(2, 3, 3)))
             g = constant(rng.normal(size=(2, 3, 3)))
-            assert float(heatmap_loss(h, g).value.data) >= 0.0
+            assert float(heatmap_loss(h, g).value) >= 0.0
 
 
 class TestForwardFull:
     def test_deterministic_bitwise(self, tiny_sample):
         triplet, _, _ = tiny_sample
         params = init_model_params(TINY, 0)
-        a = forward_full(triplet, TINY, params).maps.value.data
-        b = forward_full(triplet, TINY, params).maps.value.data
+        a = forward_full(triplet, TINY, params).maps.value
+        b = forward_full(triplet, TINY, params).maps.value
         assert np.array_equal(a, b)
 
     def test_pruning_changes_but_keeps_finite(self, tiny_sample):
@@ -209,8 +211,8 @@ class TestForwardFull:
         cfg1 = replace(TINY,
                        hr_cfg=replace(TINY.hr_cfg, epsilon=1),
                        lr_cfg=replace(TINY.lr_cfg, epsilon=1))
-        a = forward_full(triplet, cfg1, params).maps.value.data
-        b = forward_full(triplet, TINY, params).maps.value.data
+        a = forward_full(triplet, cfg1, params).maps.value
+        b = forward_full(triplet, TINY, params).maps.value
         assert not np.array_equal(a, b)
         assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
 
@@ -232,18 +234,18 @@ class TestTrainStep:
     def test_zero_lr_leaves_params(self, tiny_sample):
         triplet, target, _ = tiny_sample
         params = init_model_params(TINY, 0)
-        before = {n: p.value.data.copy() for n, p in params.named_parameters()}
-        loss, params = train_step(triplet, target, TINY, params, 0.0)
+        before = {n: p.value.copy() for n, p in params.named_parameters()}
+        loss = train_step(triplet, target, TINY, params, 0.0)
         assert loss > 0.0
         for n, p in params.named_parameters():
-            assert np.array_equal(p.value.data, before[n])
+            assert np.array_equal(p.value, before[n])
 
     def test_loss_decreases_for_small_lr(self, tiny_sample):
         triplet, target, _ = tiny_sample
         params = init_model_params(TINY, 0)
-        l0, params = train_step(triplet, target, TINY, params, 0.01)
-        l1, params = train_step(triplet, target, TINY, params, 0.01)
-        l2, _ = train_step(triplet, target, TINY, params, 0.01)
+        l0 = train_step(triplet, target, TINY, params, 0.01)
+        l1 = train_step(triplet, target, TINY, params, 0.01)
+        l2 = train_step(triplet, target, TINY, params, 0.01)
         assert l1 < l0 and l2 < l1
 
     def test_negative_lr_rejected(self, tiny_sample):
@@ -254,7 +256,7 @@ class TestTrainStep:
     def test_non_finite_loss_raises(self, tiny_sample):
         triplet, target, _ = tiny_sample
         params = init_model_params(TINY, 0)
-        params.patch_proj.value.data[...] = np.nan
+        params.patch_proj.value[...] = np.nan
         with pytest.raises(TrainingError):
             train_step(triplet, target, TINY, params, 0.01)
 
@@ -267,10 +269,59 @@ class TestTrainStep:
         frames = patch_embed_backbone(triplet, TINY, params)
         f_f, sel, grid = high_res_branch(frames[1], TINY, params)
         backward(sum_all(f_f))
-        grad = grid.grad.data
+        grad = grid.grad
         dropped = np.setdiff1d(np.arange(TINY.hr_tokens), sel.kept)
         assert np.all(grad[dropped] == 0.0)
         assert np.any(grad[sel.kept] != 0.0)
+
+
+def hand_listed_parameters(params):
+    """The (name, node) list as it was written out by hand before it was
+    derived from the dataclass fields: the reference for names and order."""
+    def block_items(prefix, b):
+        a = b.attention
+        return [
+            (f"{prefix}.attn.w_q", a.w_q), (f"{prefix}.attn.w_k", a.w_k),
+            (f"{prefix}.attn.w_v", a.w_v), (f"{prefix}.attn.w_o", a.w_o),
+            (f"{prefix}.mlp_w1", b.mlp_w1), (f"{prefix}.mlp_b1", b.mlp_b1),
+            (f"{prefix}.mlp_w2", b.mlp_w2), (f"{prefix}.mlp_b2", b.mlp_b2),
+            (f"{prefix}.ln1_gain", b.ln1_gain), (f"{prefix}.ln1_bias", b.ln1_bias),
+            (f"{prefix}.ln2_gain", b.ln2_gain), (f"{prefix}.ln2_bias", b.ln2_bias),
+        ]
+
+    out = [("patch_proj", params.patch_proj), ("patch_bias", params.patch_bias),
+           ("pos_embed", params.pos_embed)]
+    if params.hr_pos_embed is not None:
+        out.append(("hr_pos_embed", params.hr_pos_embed))
+    for i, b in enumerate(params.backbone_blocks):
+        out.extend(block_items(f"backbone.{i}", b))
+    out.extend(block_items("st.block", params.st.block))
+    out.append(("st.frame_embed", params.st.frame_embed))
+    for i, b in enumerate(params.branch_blocks):
+        out.extend(block_items(f"branch.{i}", b))
+    a = params.fusion
+    out.extend([("fusion.w_q", a.w_q), ("fusion.w_k", a.w_k),
+                ("fusion.w_v", a.w_v), ("fusion.w_o", a.w_o)])
+    out.extend([("head_w1", params.head_w1), ("head_b1", params.head_b1),
+                ("head_w2", params.head_w2), ("head_b2", params.head_b2)])
+    return out
+
+
+class TestNamedParameters:
+    @pytest.mark.parametrize("cfg", [ModelConfig(), TINY], ids=["default", "tiny"])
+    @pytest.mark.parametrize("pos_embed", [True, False])
+    def test_matches_hand_listed_names_nodes_and_order(self, cfg, pos_embed):
+        params = init_model_params(replace(cfg, add_hr_pos_embed=pos_embed), 0)
+        got = [(name, id(node)) for name, node in params.named_parameters()]
+        want = [(name, id(node)) for name, node in hand_listed_parameters(params)]
+        assert got == want
+        assert len(got) == (73 if pos_embed else 72)
+
+    def test_shared_leaf_listed_once(self):
+        params = init_model_params(TINY, 0)
+        params.backbone_blocks.append(params.branch_blocks[0])
+        names = [name for name, _ in params.named_parameters()]
+        assert len(names) == len(set(names)) == 73
 
 
 class TestEndToEndGradient:
@@ -285,13 +336,13 @@ class TestCheckpoint:
     def test_round_trip_bitwise(self, tiny_sample, tmp_path):
         triplet, _, _ = tiny_sample
         params = init_model_params(TINY, 0)
-        reference = forward_full(triplet, TINY, params).maps.value.data.copy()
+        reference = forward_full(triplet, TINY, params).maps.value.copy()
         path = tmp_path / "model.json"
         save_checkpoint(path, params)
         for _, p in params.named_parameters():
-            p.value.data[...] += 1.0
+            p.value[...] += 1.0
         load_checkpoint(path, params)
-        restored = forward_full(triplet, TINY, params).maps.value.data
+        restored = forward_full(triplet, TINY, params).maps.value
         assert np.array_equal(restored, reference)
 
     def test_bad_magic_rejected(self, tmp_path):

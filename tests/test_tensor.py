@@ -5,6 +5,7 @@ from prunepose.tensor import (
     DiffNode,
     ShapeError,
     add,
+    attention,
     backward,
     constant,
     finite_diff_check,
@@ -39,17 +40,17 @@ class TestMatmul:
     def test_identity(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]])
         out = matmul(constant(np.eye(2)), constant(x))
-        assert np.array_equal(out.value.data, x)
+        assert np.array_equal(out.value, x)
 
     def test_selection_row(self):
         out = matmul(constant([[1.0, 0.0]]), constant([[2.0], [5.0]]))
-        assert np.array_equal(out.value.data, [[2.0]])
+        assert np.array_equal(out.value, [[2.0]])
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(7)
         a = rng.normal(size=(3, 4))
         b = rng.normal(size=(4, 2))
-        out = matmul(constant(a), constant(b)).value.data
+        out = matmul(constant(a), constant(b)).value
         assert np.allclose(out, naive_matmul(a, b), rtol=0, atol=1e-12)
 
     def test_shape_mismatch_reports_both_shapes(self):
@@ -62,8 +63,8 @@ class TestMatmul:
             a = rng.normal(size=(rng.integers(1, 6), rng.integers(1, 6)))
             b = rng.normal(size=(a.shape[1], rng.integers(1, 6)))
             c = rng.normal(size=(b.shape[1], rng.integers(1, 6)))
-            left = matmul(matmul(constant(a), constant(b)), constant(c)).value.data
-            right = matmul(constant(a), matmul(constant(b), constant(c))).value.data
+            left = matmul(matmul(constant(a), constant(b)), constant(c)).value
+            right = matmul(constant(a), matmul(constant(b), constant(c))).value
             assert np.allclose(left, right, rtol=1e-9)
 
     def test_mac_count(self):
@@ -74,15 +75,15 @@ class TestMatmul:
 
 class TestSoftmaxRows:
     def test_symmetry(self):
-        out = softmax_rows(constant([[0.0, 0.0]])).value.data
+        out = softmax_rows(constant([[0.0, 0.0]])).value
         assert np.allclose(out, [[0.5, 0.5]], atol=1e-15)
 
     def test_closed_form(self):
-        out = softmax_rows(constant([[np.log(2.0), 0.0]])).value.data
+        out = softmax_rows(constant([[np.log(2.0), 0.0]])).value
         assert np.allclose(out, [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-15)
 
     def test_large_logits_no_overflow(self):
-        out = softmax_rows(constant([[1000.0, 0.0]])).value.data
+        out = softmax_rows(constant([[1000.0, 0.0]])).value
         assert np.all(np.isfinite(out))
         assert out[0, 0] == pytest.approx(1.0)
         assert out[0, 1] == pytest.approx(0.0, abs=1e-300)
@@ -92,7 +93,7 @@ class TestSoftmaxRows:
         for _ in range(50):
             x = rng.normal(scale=rng.uniform(0.1, 100.0),
                            size=(rng.integers(1, 10), rng.integers(1, 10)))
-            s = softmax_rows(constant(x)).value.data
+            s = softmax_rows(constant(x)).value
             assert np.all(s >= 0)
             assert np.allclose(s.sum(axis=1), 1.0, atol=1e-9)
 
@@ -116,13 +117,13 @@ def upsample_oracle(x, factor):
 class TestUpsampleBilinear:
     def test_constant_preserved(self):
         x = np.full((2, 2, 1), 7.0)
-        out = upsample_bilinear(constant(x), 4).value.data
+        out = upsample_bilinear(constant(x), 4).value
         assert out.shape == (8, 8, 1)
         assert np.all(out == 7.0)
 
     def test_factor_one_identity(self):
         x = np.random.default_rng(1).normal(size=(3, 4, 2))
-        out = upsample_bilinear(constant(x), 1).value.data
+        out = upsample_bilinear(constant(x), 1).value
         assert np.array_equal(out, x)
 
     def test_factor_zero_rejected(self):
@@ -131,26 +132,26 @@ class TestUpsampleBilinear:
 
     def test_matches_interpolation_oracle(self):
         x = np.arange(8.0).reshape(2, 2, 2)
-        out = upsample_bilinear(constant(x), 2).value.data
+        out = upsample_bilinear(constant(x), 2).value
         assert np.allclose(out, upsample_oracle(x, 2), rtol=0, atol=1e-12)
 
     def test_matches_oracle_random(self):
         x = np.random.default_rng(5).normal(size=(3, 2, 4))
-        out = upsample_bilinear(constant(x), 3).value.data
+        out = upsample_bilinear(constant(x), 3).value
         assert np.allclose(out, upsample_oracle(x, 3), rtol=0, atol=1e-12)
 
 
 class TestGatherScatter:
     def test_identity_permutation(self):
         x = np.random.default_rng(0).normal(size=(5, 3))
-        out = gather_rows(constant(x), np.arange(5)).value.data
+        out = gather_rows(constant(x), np.arange(5)).value
         assert np.array_equal(out, x)
 
     def test_round_trip(self):
         x = np.random.default_rng(1).normal(size=(6, 2))
         idx = [4, 1, 3]
         rows = gather_rows(constant(x), idx)
-        back = scatter_rows(constant(x), idx, rows).value.data
+        back = scatter_rows(constant(x), idx, rows).value
         assert np.array_equal(back, x)
 
     def test_gather_gradient_is_one_hot(self):
@@ -158,16 +159,16 @@ class TestGatherScatter:
         backward(sum_all(gather_rows(x, [2])))
         expected = np.zeros((4, 3))
         expected[2] = 1.0
-        assert np.array_equal(x.grad.data, expected)
+        assert np.array_equal(x.grad, expected)
 
     def test_scatter_gradient_splits(self):
         base = constant(np.zeros((4, 2)))
         rows = constant(np.ones((2, 2)))
         backward(sum_all(scatter_rows(base, [1, 3], rows)))
-        assert np.array_equal(rows.grad.data, np.ones((2, 2)))
+        assert np.array_equal(rows.grad, np.ones((2, 2)))
         expected_base = np.ones((4, 2))
         expected_base[[1, 3]] = 0.0
-        assert np.array_equal(base.grad.data, expected_base)
+        assert np.array_equal(base.grad, expected_base)
 
     @pytest.mark.parametrize("idx", [[0, 0], [5], [-1]])
     def test_bad_indices_rejected(self, idx):
@@ -178,15 +179,15 @@ class TestGatherScatter:
     def test_scatter_full_selection_overwrites_everything(self):
         base = constant(np.random.default_rng(3).normal(size=(5, 2)))
         rows = constant(np.random.default_rng(4).normal(size=(5, 2)))
-        out = scatter_rows(base, np.arange(5), rows).value.data
-        assert np.array_equal(out, rows.value.data)
+        out = scatter_rows(base, np.arange(5), rows).value
+        assert np.array_equal(out, rows.value)
 
 
 class TestBackward:
     def test_shared_node_grads_accumulate(self):
         x = constant(np.array([[1.0, 2.0]]))
         backward(sum_all(add(x, x)))
-        assert np.array_equal(x.grad.data, [[2.0, 2.0]])
+        assert np.array_equal(x.grad, [[2.0, 2.0]])
 
     def test_every_reachable_node_gets_a_grad(self):
         x = constant(np.ones((2, 2)))
@@ -194,7 +195,7 @@ class TestBackward:
         z = sum_all(y)
         backward(z)
         assert x.grad is not None and y.grad is not None and z.grad is not None
-        assert z.grad.data.shape == ()
+        assert z.grad.shape == ()
 
     def test_backward_requires_scalar(self):
         with pytest.raises(ShapeError):
@@ -247,3 +248,80 @@ class TestFiniteDiffCheck:
         base = np.random.default_rng(8).normal(size=(5, 2))
         f = lambda x: sum_all(mul(s := scatter_rows(constant(base), [0, 3], x), s))
         assert finite_diff_check(f, np.random.default_rng(9).normal(size=(2, 2))) < 1e-5
+
+
+def per_head_attention(q, k, v, heads):
+    """Each head through the 2-D ``softmax_rows`` kernel on contiguous column
+    slices, the heads' outputs joined by columns."""
+    d = q.shape[1] // heads
+    outs = []
+    for h in range(heads):
+        cols = slice(h * d, (h + 1) * d)
+        qh, kh, vh = (np.ascontiguousarray(x[:, cols]) for x in (q, k, v))
+        logits = (qh @ np.ascontiguousarray(kh.T)) * (1.0 / np.sqrt(d))
+        outs.append(softmax_rows(constant(logits)).value @ vh)
+    return np.concatenate(outs, axis=1)
+
+
+class TestAttention:
+    NQ, NK, C = 5, 7, 8
+
+    def _qkv(self, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.normal(size=(self.NQ, self.C)), rng.normal(size=(self.NK, self.C)),
+                rng.normal(size=(self.NK, self.C)))
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_matches_per_head_reference_exactly(self, heads):
+        q, k, v = self._qkv(heads)
+        out = attention(constant(q), constant(k), constant(v), heads).value
+        assert np.array_equal(out, per_head_attention(q, k, v, heads))
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("wrt", [0, 1, 2])
+    def test_gradient_check(self, heads, wrt):
+        qkv = [constant(x) for x in self._qkv(10 + heads)]
+        weights = constant(np.random.default_rng(20 + wrt).normal(size=(self.NQ, self.C)))
+
+        def f(x):
+            args = list(qkv)
+            args[wrt] = x
+            return sum_all(mul(attention(*args, heads), weights))
+
+        assert finite_diff_check(f, qkv[wrt].value, eps=1e-5) < 1e-6
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_mac_tally(self, heads):
+        q, k, v = self._qkv(0)
+        with mac_tally() as tally:
+            attention(constant(q), constant(k), constant(v), heads)
+        assert tally.macs == 2 * heads * self.NQ * self.NK * (self.C // heads)
+
+    @pytest.mark.parametrize("shapes,heads", [
+        (((5, 8), (7, 6), (7, 6)), 2),   # query and key widths differ
+        (((5, 8), (7, 8), (6, 8)), 2),   # keys and values disagree on rows
+        (((5, 8), (7, 8), (7, 8)), 3),   # heads do not divide the width
+        (((5, 8), (7, 8), (7, 8)), 0),
+        (((5, 8, 1), (7, 8), (7, 8)), 2),
+    ])
+    def test_bad_shapes_rejected(self, shapes, heads):
+        q, k, v = (constant(np.zeros(s)) for s in shapes)
+        with pytest.raises(ShapeError):
+            attention(q, k, v, heads)
+
+    def test_tiny_model_loss_tape_size(self):
+        from prunepose.cli import TINY_MODEL, _model_config
+        from prunepose.model import forward_full, heatmap_loss, init_model_params
+        from prunepose.synth import SynthScene, make_triplet_sample
+
+        cfg = _model_config(TINY_MODEL)
+        triplet, target, _ = make_triplet_sample(SynthScene(seed=0, joints=cfg.joints), cfg)
+        loss = heatmap_loss(forward_full(triplet, cfg, init_model_params(cfg, 0)),
+                            constant(target))
+        seen, stack = {id(loss)}, [loss]
+        while stack:
+            for parent in stack.pop().parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        assert len(seen) <= 270
