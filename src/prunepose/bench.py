@@ -1,5 +1,7 @@
 """Benchmark suites: latency/MAC comparisons across pruning variants, the
-pruning-ratio grid, whole-model gradient checking, and training smoke runs."""
+pruning-ratio grid, whole-model gradient checking, and training smoke runs.
+Losses and descent steps come from ``model``, central differences from
+``tensor``."""
 
 from __future__ import annotations
 
@@ -10,16 +12,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dpc import NonFiniteTokens
 from .model import (
     FrameTriplet,
     ModelConfig,
     ModelParams,
     TrainingError,
-    _sgd,
+    _descend,
+    _mean_loss,
     decode_head,
     forward_full,
-    heatmap_loss,
     init_model_params,
     patch_embed_backbone,
     train_step,
@@ -27,13 +28,11 @@ from .model import (
 from .attention import spatio_temporal_block, transformer_block
 from .synth import DEFAULT_PARENTS, SynthScene, make_triplet_sample
 from .tensor import (
-    add,
+    _central_diff,
     backward,
-    constant,
     gather_rows,
     mac_tally,
     reshape,
-    scale,
     upsample_bilinear,
 )
 
@@ -144,24 +143,14 @@ def run_bench(bench: BenchConfig) -> dict:
     }
 
 
-def _batch_loss(samples, cfg, params):
-    try:
-        losses = [heatmap_loss(forward_full(t, cfg, params), constant(g))
-                  for t, g in samples]
-    except NonFiniteTokens as e:  # features overflowed: treat like a non-finite loss
-        raise TrainingError(f"non-finite features: {e}") from e
-    total = losses[0]
-    for extra in losses[1:]:
-        total = add(total, extra)
-    return scale(total, 1.0 / len(losses))
-
-
 def run_train_smoke(cfg: ModelConfig, steps: int = 200, lr: float = 0.03,
                     seed: int = 0, batch: int = 2) -> dict:
     """Gradient-descend the whole model on a fixed synthetic batch.
 
     Succeeds when the final loss drops to half the initial loss or less.
     """
+    if steps < 1 or batch < 1:
+        raise ValueError(f"steps and batch must be >= 1, got {steps} and {batch}")
     params = init_model_params(cfg, seed)
     samples = []
     for b in range(batch):
@@ -172,14 +161,11 @@ def run_train_smoke(cfg: ModelConfig, steps: int = 200, lr: float = 0.03,
 
     curve = []
     for step in range(steps):
-        loss = _batch_loss(samples, cfg, params)
-        loss_val = float(loss.value)
-        if not np.isfinite(loss_val):
-            raise TrainingError(f"non-finite loss at step {step}")
-        curve.append(loss_val)
-        backward(loss)
-        _sgd(params, lr)
-    final = float(_batch_loss(samples, cfg, params).value)
+        try:
+            curve.append(_descend(samples, cfg, params, lr))
+        except TrainingError as e:
+            raise TrainingError(f"{e} at step {step}") from e
+    final = float(_mean_loss(samples, cfg, params).value)
     curve.append(final)
     return {
         "schema": REPORT_SCHEMA,
@@ -203,6 +189,10 @@ def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
     ratios = list(ratios)
     if not ratios or any(r < 1 for r in ratios):
         raise ValueError(f"ratios must be nonempty and >= 1, got {ratios}")
+    if iters < 1:
+        raise ValueError(f"timed iterations must be >= 1, got {iters}")
+    if not lr >= 0:
+        raise ValueError(f"learning rate must be >= 0, got {lr}")
     cells = []
     for eps_hrb in ratios:
         for eps_lrb in ratios:
@@ -214,8 +204,7 @@ def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
                 triplet, target, _ = make_triplet_sample(scene, cell_cfg)
                 for _ in range(train_steps):
                     train_step(triplet, target, cell_cfg, params, lr)
-                loss = float(heatmap_loss(forward_full(triplet, cell_cfg, params),
-                                          constant(target)).value)
+                loss = float(_mean_loss([(triplet, target)], cell_cfg, params).value)
                 timing = _time_variant(lambda: forward_full(triplet, cell_cfg, params),
                                        warmup=1, iters=iters)
                 cell.update(final_loss=loss, macs=timing["macs"],
@@ -272,36 +261,14 @@ def run_gradcheck(cfg: ModelConfig, seed: int = 0, eps: float = 1e-4,
     frozen = (hr_sel, lr_sel)
 
     def loss_at():
-        return heatmap_loss(forward_full(triplet, cfg, params, frozen=frozen),
-                            constant(target))
+        return _mean_loss([(triplet, target)], cfg, params, frozen=frozen)
 
-    loss = loss_at()
-    backward(loss)
-    grads = {name: p.grad.copy() for name, p in params.named_parameters()}
-    if corrupt is not None:
-        if corrupt not in grads:
-            raise KeyError(f"unknown parameter {corrupt!r}")
-        grads[corrupt] = grads[corrupt] + 1.0
-
-    worst_err = 0.0
-    worst_name = None
-    for name, p in params.named_parameters():
-        flat = p.value.ravel()
-        gflat = grads[name].ravel()
-        n_coords = flat.size
-        if max_coords_per_param is not None:
-            n_coords = min(n_coords, max_coords_per_param)
-        for i in range(n_coords):
-            orig = flat[i]
-            flat[i] = orig + eps
-            hi = float(loss_at().value)
-            flat[i] = orig - eps
-            lo = float(loss_at().value)
-            flat[i] = orig
-            central = (hi - lo) / (2.0 * eps)
-            err = abs(gflat[i] - central) / max(1.0, abs(central))
-            if err > worst_err:
-                worst_err, worst_name = err, f"{name}[{i}]"
+    backward(loss_at())
+    named = params.named_parameters()
+    if corrupt is not None and corrupt not in dict(named):
+        raise KeyError(f"unknown parameter {corrupt!r}")
+    grads = [p.grad + 1.0 if name == corrupt else p.grad for name, p in named]
+    worst_err, worst_name = _central_diff(loss_at, named, grads, eps, max_coords_per_param)
     return {
         "schema": REPORT_SCHEMA,
         "command": "gradcheck",

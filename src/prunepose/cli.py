@@ -78,7 +78,6 @@ _SHARED_FLAGS = {
     "--config": dict(default=None, help="JSON config file; flags win"),
     "--eps-hrb": dict(type=int, default=None, help="high-res branch pruning ratio"),
     "--eps-lrb": dict(type=int, default=None, help="low-res branch pruning ratio"),
-    "--iters": dict(type=int, default=None, help="timed iterations"),
 }
 _MODEL_FLAGS = ("--config", "--eps-hrb", "--eps-lrb")
 
@@ -95,11 +94,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bench", help="time the baseline / unpruned / pruned variants")
-    _add_common(p, *_MODEL_FLAGS, "--iters")
+    _add_common(p, *_MODEL_FLAGS)
+    p.add_argument("--iters", type=int, default=3, help="timed iterations")
     p.add_argument("--warmup", type=int, default=1)
 
     p = sub.add_parser("ratio-grid", help="loss/speed over a grid of pruning ratios")
-    _add_common(p, "--config", "--iters")  # --ratios sets both epsilons
+    _add_common(p, "--config")  # --ratios sets both epsilons
+    p.add_argument("--iters", type=int, default=2, help="timed iterations per cell")
     p.add_argument("--ratios", type=int, nargs="+", default=[1, 3, 6, 10])
     p.add_argument("--train-steps", type=int, default=10)
     p.add_argument("--lr", type=float, default=0.01)
@@ -132,7 +133,7 @@ def run(argv=None) -> int:
         if args.command == "bench":
             model = _resolve_model(args)
             bench = BenchConfig(model=model, warmup=args.warmup,
-                                iters=args.iters or 3, seed=args.seed)
+                                iters=args.iters, seed=args.seed)
             _emit(run_bench(bench), args.out)
             return 0
 
@@ -140,7 +141,7 @@ def run(argv=None) -> int:
             model = _resolve_model(args, GRID_MODEL)
             report = run_ratio_grid(model, ratios=args.ratios, seed=args.seed,
                                     train_steps=args.train_steps, lr=args.lr,
-                                    iters=args.iters or 2)
+                                    iters=args.iters)
             _emit(report, args.out)
             if args.out:
                 write_grid_csv(report, str(args.out) + ".csv")

@@ -32,6 +32,7 @@ from .tensor import (
     mul,
     permute,
     reshape,
+    scale,
     scatter_rows,
     sub,
     upsample_bilinear,
@@ -118,8 +119,6 @@ class FrameTriplet:
     """Three person-centered crops: previous, key, and next frame."""
 
     images: tuple  # three HxWx3 float arrays
-    person_id: int = 0
-    frame_index: int = 0
 
     def __post_init__(self):
         shapes = {np.asarray(im).shape for im in self.images}
@@ -301,30 +300,42 @@ def forward_full(triplet: FrameTriplet, cfg: ModelConfig, params: ModelParams,
     return heatmap
 
 
-def _sgd(params: ModelParams, lr: float):
-    """One gradient descent update of every parameter, in place."""
-    if lr > 0:
-        for _, p in params.named_parameters():
-            p.value -= lr * p.grad
-
-
-def train_step(triplet: FrameTriplet, target, cfg: ModelConfig,
-               params: ModelParams, lr: float) -> float:
-    """One full-batch gradient descent step on ``params``, in place;
-    selections are treated as constants of the forward pass. Returns the
-    pre-update loss."""
-    if lr < 0:
-        raise ValueError(f"learning rate must be >= 0, got {lr}")
+def _mean_loss(samples, cfg: ModelConfig, params: ModelParams, frozen=None) -> DiffNode:
+    """Mean heatmap loss over (triplet, target) samples; one sample's loss is
+    returned as it is. ``frozen`` is passed to :func:`forward_full`."""
     try:
-        loss = heatmap_loss(forward_full(triplet, cfg, params), target)
+        losses = [heatmap_loss(forward_full(t, cfg, params, frozen=frozen), g)
+                  for t, g in samples]
     except NonFiniteTokens as e:  # features overflowed: treat like a non-finite loss
         raise TrainingError(f"non-finite features: {e}") from e
+    total = losses[0]
+    for extra in losses[1:]:
+        total = add(total, extra)
+    return total if len(losses) == 1 else scale(total, 1.0 / len(losses))
+
+
+def _descend(samples, cfg: ModelConfig, params: ModelParams, lr: float) -> float:
+    """One gradient descent step of ``params`` on the mean loss over
+    ``samples``, in place; selections are treated as constants of the
+    forward pass. Returns the pre-update loss."""
+    if not lr >= 0:
+        raise ValueError(f"learning rate must be >= 0, got {lr}")
+    loss = _mean_loss(samples, cfg, params)
     loss_val = float(loss.value)
     if not np.isfinite(loss_val):
         raise TrainingError(f"non-finite loss {loss_val!r}")
     backward(loss)
-    _sgd(params, lr)
+    if lr > 0:
+        for _, p in params.named_parameters():
+            p.value -= lr * p.grad
     return loss_val
+
+
+def train_step(triplet: FrameTriplet, target, cfg: ModelConfig,
+               params: ModelParams, lr: float) -> float:
+    """One gradient descent step on one sample, in place; returns the
+    pre-update loss."""
+    return _descend([(triplet, target)], cfg, params, lr)
 
 
 # ---------------------------------------------------------------------------

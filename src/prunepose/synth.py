@@ -1,5 +1,6 @@
 """Procedural stick-figure video generator with ground-truth keypoints,
-top-down box expansion/cropping, and Gaussian target heatmaps."""
+top-down box expansion/cropping (with ``tensor``'s bilinear resampler, the
+one that upsamples the model's tokens), and Gaussian target heatmaps."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FrameTriplet
+from .tensor import _bilinear, _bilinear_axis
 
 __all__ = [
     "DEFAULT_PARENTS",
@@ -44,17 +46,12 @@ _BASE_POSE = np.array([
 class SynthScene:
     seed: int = 0
     joints: int = 15
-    skeleton: tuple = DEFAULT_PARENTS
     amplitude: float = 3.0  # pixels of drift per frame
     image_size: tuple = (256, 256)  # (H, W)
-    figure_scale: float = 1.0
 
     def __post_init__(self):
-        if not (1 <= self.joints <= len(self.skeleton)):
-            raise ValueError(f"joints must be in [1, {len(self.skeleton)}], got {self.joints}")
-        for j, p in enumerate(self.skeleton[:self.joints]):
-            if p >= j:
-                raise ValueError(f"skeleton parent {p} of joint {j} must precede it")
+        if not (1 <= self.joints <= len(DEFAULT_PARENTS)):
+            raise ValueError(f"joints must be in [1, {len(DEFAULT_PARENTS)}], got {self.joints}")
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         if min(self.image_size) < 32:
@@ -118,7 +115,7 @@ def generate_sequence(scene: SynthScene, length: int) -> list:
         raise ValueError(f"sequence length must be >= 3, got {length}")
     rng = np.random.default_rng(scene.seed)
     h, w = scene.image_size
-    pose = _BASE_POSE[:scene.joints] * scene.figure_scale
+    pose = _BASE_POSE[:scene.joints]
     half = np.abs(pose).max(axis=0) + 8.0
     lo = half
     hi = np.array([w, h], dtype=np.float64) - half
@@ -140,7 +137,7 @@ def generate_sequence(scene: SynthScene, length: int) -> list:
         kps = center + pose + wiggle
         kps[:, 0] = np.clip(kps[:, 0], 0.0, w - 1.0)
         kps[:, 1] = np.clip(kps[:, 1], 0.0, h - 1.0)
-        frames.append((_render_figure(kps, scene.skeleton, scene.image_size), kps.copy()))
+        frames.append((_render_figure(kps, DEFAULT_PARENTS, scene.image_size), kps.copy()))
         center = center + vel
     return frames
 
@@ -174,26 +171,6 @@ def clamp_box(box: BoundingBox, image_size) -> BoundingBox:
     return BoundingBox(x0, y0, x1 - x0, y1 - y0)
 
 
-def _crop_resize(image: np.ndarray, region: BoundingBox, out_size) -> np.ndarray:
-    """Bilinear resample of a (float) region to out_size (H, W)."""
-    ih, iw, _ = image.shape
-    oh, ow = out_size
-    sy = region.y + (np.arange(oh) + 0.5) * region.h / oh - 0.5
-    sx = region.x + (np.arange(ow) + 0.5) * region.w / ow - 0.5
-    sy = np.clip(sy, 0.0, ih - 1.0)
-    sx = np.clip(sx, 0.0, iw - 1.0)
-    y0 = np.floor(sy).astype(np.intp)
-    x0 = np.floor(sx).astype(np.intp)
-    y1 = np.minimum(y0 + 1, ih - 1)
-    x1 = np.minimum(x0 + 1, iw - 1)
-    wy = (sy - y0)[:, None, None]
-    wx = (sx - x0)[None, :, None]
-    return ((1 - wy) * (1 - wx) * image[np.ix_(y0, x0)]
-            + (1 - wy) * wx * image[np.ix_(y0, x1)]
-            + wy * (1 - wx) * image[np.ix_(y1, x0)]
-            + wy * wx * image[np.ix_(y1, x1)])
-
-
 def expand_and_crop(box: BoundingBox, frames, out_size=(256, 192),
                     factor: float = 1.25):
     """Enlarge the person box, clamp it, and cut the same region from all
@@ -201,12 +178,14 @@ def expand_and_crop(box: BoundingBox, frames, out_size=(256, 192),
 
     Returns (triplet, region) where region is the final crop box.
     """
-    if len(frames) != 3:
-        raise ValueError(f"expected three frames, got {len(frames)}")
-    image_size = frames[0].shape[:2]
-    region = clamp_box(expand_box(box, factor), image_size)
-    crops = tuple(_crop_resize(np.asarray(f, dtype=np.float64), region, out_size)
-                  for f in frames)
+    shapes = sorted({np.shape(f) for f in frames})
+    if len(frames) != 3 or len(shapes) != 1:
+        raise ValueError(f"expected three same-size frames, got {len(frames)} of {shapes}")
+    ih, iw = shapes[0][:2]
+    region = clamp_box(expand_box(box, factor), (ih, iw))
+    rows = _bilinear_axis(region.y, region.h, ih, out_size[0])
+    cols = _bilinear_axis(region.x, region.w, iw, out_size[1])
+    crops = tuple(_bilinear(np.asarray(f, dtype=np.float64), rows, cols) for f in frames)
     return FrameTriplet(images=crops), region
 
 
@@ -244,17 +223,18 @@ def render_gaussian_heatmaps(keypoints: np.ndarray, heatmap_size,
     return maps
 
 
-def make_triplet_sample(scene: SynthScene, cfg, t: int = 1, sigma: float = 2.0):
-    """One training sample: cropped triplet plus target heatmaps for frame t."""
-    seq = generate_sequence(scene, max(t + 2, 3))
-    frames = [seq[t - 1][0], seq[t][0], seq[t + 1][0]]
-    kps = seq[t][1]
+def make_triplet_sample(scene: SynthScene, cfg):
+    """One training sample: the cropped first three frames of the scene plus
+    target heatmaps for the middle one."""
+    seq = generate_sequence(scene, 3)
+    frames = [image for image, _ in seq]
+    kps = seq[1][1]
     triplet, region = expand_and_crop(bbox_from_keypoints(kps), frames,
                                       out_size=cfg.image_size)
     crop_kps = map_keypoints_to_crop(kps, region, cfg.image_size)
     hh, hw = cfg.heatmap_size
     hm_kps = crop_kps * np.array([hw / cfg.image_size[1], hh / cfg.image_size[0]])
-    target = render_gaussian_heatmaps(hm_kps[:cfg.joints], cfg.heatmap_size, sigma)
+    target = render_gaussian_heatmaps(hm_kps[:cfg.joints], cfg.heatmap_size)
     if len(target) < cfg.joints:  # scene has fewer joints than the model head
         pad = np.zeros((cfg.joints - len(target), hh, hw))
         target = np.concatenate([target, pad], axis=0)

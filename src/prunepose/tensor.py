@@ -3,6 +3,8 @@
 Everything is plain numpy under the hood. A ``DiffNode`` holds its value as
 a float64 ndarray together with the bookkeeping needed to run a backward pass
 from a scalar output. All operations are pure: they never modify their inputs.
+The central-difference loop of every gradient check and the bilinear
+resampler that ``synth`` crops with live here too.
 """
 
 from __future__ import annotations
@@ -351,14 +353,28 @@ def layer_norm_rows(x: DiffNode, gain: DiffNode, bias: DiffNode,
     return DiffNode(out, (x, gain, bias), vjp)
 
 
-def _bilinear_axis(n_in: int, factor: int):
-    """Source indices and weights for align-corners=false upsampling."""
-    coords = (np.arange(n_in * factor) + 0.5) / factor - 0.5
+def _bilinear_axis(start: float, length: float, n_in: int, n_out: int):
+    """Align-corners=false sampling of ``n_out`` pixel centres over the window
+    [start, start + length) of an ``n_in``-pixel axis, clamped to the axis:
+    the source index below each point, the one above, and the upper weight."""
+    coords = start + (np.arange(n_out) + 0.5) * length / n_out - 0.5
     coords = np.clip(coords, 0.0, n_in - 1.0)
     lo = np.floor(coords).astype(np.intp)
     hi = np.minimum(lo + 1, n_in - 1)
-    w_hi = coords - lo
-    return lo, hi, w_hi
+    return lo, hi, coords - lo
+
+
+def _bilinear(image: np.ndarray, rows, cols) -> np.ndarray:
+    """Bilinear resample of an HxWxC array at the :func:`_bilinear_axis`
+    sample points ``rows`` and ``cols``: the weighted sum of four corners."""
+    y0, y1, wy = rows
+    x0, x1, wx = cols
+    wy = wy[:, None, None]
+    wx = wx[None, :, None]
+    return ((1 - wy) * (1 - wx) * image[np.ix_(y0, x0)]
+            + (1 - wy) * wx * image[np.ix_(y0, x1)]
+            + wy * (1 - wx) * image[np.ix_(y1, x0)]
+            + wy * wx * image[np.ix_(y1, x1)])
 
 
 def upsample_bilinear(x: DiffNode, factor: int) -> DiffNode:
@@ -371,14 +387,9 @@ def upsample_bilinear(x: DiffNode, factor: int) -> DiffNode:
     if factor == 1:
         return DiffNode(xv.copy(), (x,), lambda g: (g,))
     h, w, _ = xv.shape
-    y0, y1, wy = _bilinear_axis(h, factor)
-    x0, x1, wx = _bilinear_axis(w, factor)
-    wy = wy[:, None, None]
-    wx = wx[None, :, None]
-    out = ((1 - wy) * (1 - wx) * xv[np.ix_(y0, x0)]
-           + (1 - wy) * wx * xv[np.ix_(y0, x1)]
-           + wy * (1 - wx) * xv[np.ix_(y1, x0)]
-           + wy * wx * xv[np.ix_(y1, x1)])
+    rows = y0, y1, wy = _bilinear_axis(0, h, h, h * factor)
+    cols = x0, x1, wx = _bilinear_axis(0, w, w, w * factor)
+    out = _bilinear(xv, rows, cols)
     _record_macs(4 * out.size)
 
     def vjp(g):
@@ -477,6 +488,37 @@ def permute(x: DiffNode, axes) -> DiffNode:
 # Finite-difference gradient checking
 # ---------------------------------------------------------------------------
 
+def _central_diff(loss_at: Callable[[], DiffNode], named, grads, eps: float,
+                  max_coords: int | None = None):
+    """Worst ``|analytic - central| / max(1, |central|)`` over the coordinates
+    of each (name, node) in ``named``, or its first ``max_coords``, and its
+    ``"name[i]"``. ``grads`` holds each node's analytic gradient; each
+    coordinate is moved by +-eps in place for two ``loss_at()`` calls, then
+    restored."""
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if max_coords is not None and max_coords < 1:
+        raise ValueError(f"coordinates per parameter must be >= 1, got {max_coords}")
+    worst, where = 0.0, None
+    for (name, node), grad in zip(named, grads):
+        flat = node.value.reshape(-1)  # a view: values are C-contiguous
+        gflat = grad.reshape(-1)
+        for i in range(flat.size if max_coords is None else min(flat.size, max_coords)):
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = float(loss_at().value)
+            flat[i] = orig - eps
+            lo = float(loss_at().value)
+            flat[i] = orig
+            central = (hi - lo) / (2.0 * eps)
+            err = abs(gflat[i] - central) / max(1.0, abs(central))
+            if np.isnan(err):  # a NaN gradient or loss must fail, not compare false
+                err = np.inf
+            if err > worst:
+                worst, where = err, f"{name}[{i}]"
+    return worst, where
+
+
 def finite_diff_check(f: Callable[[DiffNode], DiffNode], x, eps: float = 1e-5) -> float:
     """Compare analytic gradients of a scalar function against central differences.
 
@@ -485,24 +527,9 @@ def finite_diff_check(f: Callable[[DiffNode], DiffNode], x, eps: float = 1e-5) -
     """
     if not (0.0 < eps <= 1e-2):
         raise ValueError(f"eps must lie in (0, 1e-2], got {eps}")
-    base = np.array(x, dtype=np.float64)
-    leaf = DiffNode(base.copy())
+    leaf = DiffNode(np.array(x, dtype=np.float64))
     out = f(leaf)
     if out.value.size != 1:
         raise ShapeError(f"finite_diff_check needs a scalar function, got shape {out.shape}")
     backward(out)
-    analytic = leaf.grad
-
-    worst = 0.0
-    flat = base.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + eps
-        hi = float(f(DiffNode(base.copy())).value)
-        flat[i] = orig - eps
-        lo = float(f(DiffNode(base.copy())).value)
-        flat[i] = orig
-        central = (hi - lo) / (2.0 * eps)
-        err = abs(analytic.ravel()[i] - central) / max(1.0, abs(central))
-        worst = max(worst, err)
-    return worst
+    return _central_diff(lambda: f(leaf), [("x", leaf)], [leaf.grad], eps)[0]

@@ -1,5 +1,5 @@
 """Every public name resolves: each ``prunepose`` module's ``__all__`` and
-each name the package root re-exports."""
+each name the package root re-exports. Every module uses what it imports."""
 
 import ast
 import importlib
@@ -29,3 +29,29 @@ def test_package_reexports_resolve():
         for alias in node.names:
             name = alias.asname or alias.name
             assert getattr(prunepose, name) is getattr(source, alias.name), name
+
+
+def _unused_imports(path: Path) -> list:
+    """Names a module binds by ``import`` that it never reads; ``__all__``
+    entries count as read."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= set(ast.literal_eval(node.value))
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+# MODULES leaves out the package root, whose imports are its re-exports
+@pytest.mark.parametrize("module_name", MODULES)
+def test_every_import_is_used(module_name):
+    unused = _unused_imports(Path(importlib.import_module(module_name).__file__))
+    assert not unused, f"{module_name} imports names it never uses: {unused}"

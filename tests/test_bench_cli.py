@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -13,10 +14,18 @@ from prunepose.bench import (
 )
 from prunepose.cli import GRID_MODEL, TINY_MODEL, _model_config, run
 from prunepose.dpc import DpcConfig
-from prunepose.model import ModelConfig, init_model_params, patch_embed_backbone
+from prunepose.model import (
+    ModelConfig,
+    forward_full,
+    heatmap_loss,
+    init_model_params,
+    patch_embed_backbone,
+)
 from prunepose.synth import SynthScene, make_triplet_sample
 from prunepose.tensor import (
     add,
+    backward,
+    constant,
     gather_rows,
     gelu,
     matmul,
@@ -89,7 +98,46 @@ class TestRatioGrid:
             run_ratio_grid(SMALL_GRID, ratios=())
 
 
+def gradcheck_per_parameter_loop(cfg, eps, corrupt, max_coords):
+    """Reference: the probe loop ``run_gradcheck`` ran before it shared
+    ``finite_diff_check``'s; returns (worst error, "name[i]")."""
+    params = init_model_params(cfg, 0)
+    triplet, target, _ = make_triplet_sample(SynthScene(seed=0, joints=cfg.joints), cfg)
+    _, hr_sel, lr_sel = forward_full(triplet, cfg, params, details=True)
+
+    def loss_at():
+        return heatmap_loss(forward_full(triplet, cfg, params, frozen=(hr_sel, lr_sel)),
+                            constant(target))
+
+    backward(loss_at())
+    grads = {name: p.grad.copy() for name, p in params.named_parameters()}
+    if corrupt is not None:
+        grads[corrupt] = grads[corrupt] + 1.0
+    worst_err, worst_name = 0.0, None
+    for name, p in params.named_parameters():
+        flat = p.value.ravel()
+        gflat = grads[name].ravel()
+        for i in range(min(flat.size, max_coords)):
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = float(loss_at().value)
+            flat[i] = orig - eps
+            lo = float(loss_at().value)
+            flat[i] = orig
+            central = (hi - lo) / (2.0 * eps)
+            err = abs(gflat[i] - central) / max(1.0, abs(central))
+            if err > worst_err:
+                worst_err, worst_name = err, f"{name}[{i}]"
+    return worst_err, worst_name
+
+
 class TestGradcheckCommand:
+    @pytest.mark.parametrize("corrupt", [None, "head_b2"])
+    def test_equals_per_parameter_loop(self, corrupt):
+        report = run_gradcheck(TINY, corrupt=corrupt, max_coords_per_param=2)
+        ref = gradcheck_per_parameter_loop(TINY, 1e-4, corrupt, 2)
+        assert (report["max_rel_error"], report["worst_parameter"]) == ref
+
     def test_oversized_config_rejected(self):
         with pytest.raises(ValueError):
             run_gradcheck(ModelConfig(image_size=(128, 128), embed_dim=8,
@@ -195,7 +243,9 @@ class TestCli:
     def test_train_smoke_divergence_exits_1(self, capsys):
         code = run(["train-smoke", "--lr", "1e8", "--steps", "20", "--batch", "1"])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error: non-finite")
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite")
+        assert re.search(r"at step \d+$", err.strip())
 
     def test_ratio_grid_emits_csv(self, tmp_path, capsys):
         out = tmp_path / "grid.json"
@@ -225,6 +275,20 @@ class TestCli:
             run(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--iters", "0"],
+        ["ratio-grid", "--iters", "0"],
+        ["ratio-grid", "--lr", "-0.1"],
+        ["gradcheck", "--eps", "0"],
+        ["gradcheck", "--max-coords", "0"],
+        ["train-smoke", "--lr", "-0.1"],
+        ["train-smoke", "--batch", "0"],
+        ["train-smoke", "--steps", "0"],
+    ])
+    def test_bad_flag_value_exits_2(self, argv, capsys):
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_dump_synth(self, tmp_path, capsys):
         out = tmp_path / "dump"

@@ -147,7 +147,43 @@ class TestBoxes:
             clamp_box(BoundingBox(500, 500, 10, 10), (100, 100))
 
 
+def crop_resize_reference(image, region, out_size):
+    """Reference: the resampler ``expand_and_crop`` used before it shared
+    ``upsample_bilinear``'s."""
+    ih, iw, _ = image.shape
+    oh, ow = out_size
+    sy = region.y + (np.arange(oh) + 0.5) * region.h / oh - 0.5
+    sx = region.x + (np.arange(ow) + 0.5) * region.w / ow - 0.5
+    sy = np.clip(sy, 0.0, ih - 1.0)
+    sx = np.clip(sx, 0.0, iw - 1.0)
+    y0 = np.floor(sy).astype(np.intp)
+    x0 = np.floor(sx).astype(np.intp)
+    y1 = np.minimum(y0 + 1, ih - 1)
+    x1 = np.minimum(x0 + 1, iw - 1)
+    wy = (sy - y0)[:, None, None]
+    wx = (sx - x0)[None, :, None]
+    return ((1 - wy) * (1 - wx) * image[np.ix_(y0, x0)]
+            + (1 - wy) * wx * image[np.ix_(y0, x1)]
+            + wy * (1 - wx) * image[np.ix_(y1, x0)]
+            + wy * wx * image[np.ix_(y1, x1)])
+
+
 class TestExpandAndCrop:
+    def test_crops_equal_reference_resampler(self):
+        rng = np.random.default_rng(21)
+        frames = [rng.random((60, 80, 3)) for _ in range(3)]
+        clamped = 0
+        for out_size in [(64, 48), (32, 32), (17, 13), (120, 90)]:
+            for _ in range(25):
+                # every box meets the frame; many reach past an edge and are clamped
+                box = BoundingBox(rng.uniform(-20.0, 70.0), rng.uniform(-20.0, 50.0),
+                                  rng.uniform(25.0, 90.0), rng.uniform(25.0, 70.0))
+                triplet, region = expand_and_crop(box, frames, out_size=out_size)
+                clamped += region != expand_box(box)
+                for frame, crop in zip(frames, triplet.images):
+                    assert np.array_equal(crop, crop_resize_reference(frame, region, out_size))
+        assert clamped >= 50
+
     def test_crops_share_offsets(self):
         rng = np.random.default_rng(0)
         frame = rng.random((100, 100, 3))
@@ -155,6 +191,13 @@ class TestExpandAndCrop:
                                      out_size=(32, 32))
         assert np.array_equal(triplet.images[0], triplet.images[1])
         assert np.array_equal(triplet.images[1], triplet.images[2])
+
+    def test_frames_of_different_sizes_rejected(self):
+        frames = [np.zeros((80, 60, 3)), np.zeros((80, 60, 3)), np.zeros((60, 80, 3))]
+        with pytest.raises(ValueError):
+            expand_and_crop(BoundingBox(5, 5, 40, 40), frames, out_size=(32, 32))
+        with pytest.raises(ValueError):
+            expand_and_crop(BoundingBox(5, 5, 40, 40), frames[:2], out_size=(32, 32))
 
     def test_output_size(self):
         frame = np.zeros((80, 60, 3))

@@ -4,6 +4,7 @@ import pytest
 from prunepose.tensor import (
     DiffNode,
     ShapeError,
+    _central_diff,
     add,
     attention,
     backward,
@@ -211,6 +212,17 @@ class TestFiniteDiffCheck:
         f = lambda x: sum_all(mul(x, x))
         err = finite_diff_check(f, np.random.default_rng(1).normal(size=(3, 3)), eps=1e-5)
         assert err < 1e-6
+
+    def test_column_major_input(self):
+        f = lambda x: sum_all(mul(x, x))
+        x = np.asfortranarray(np.random.default_rng(1).normal(size=(3, 4)))
+        assert finite_diff_check(f, x, eps=1e-5) < 1e-6
+
+    def test_nan_gradient_fails(self):
+        x = constant(np.ones(3))
+        grads = [np.array([0.0, np.nan, np.nan])]
+        err, where = _central_diff(lambda: sum_all(mul(x, x)), [("x", x)], grads, 1e-5)
+        assert err == np.inf and where == "x[1]"
 
     def test_non_scalar_rejected(self):
         with pytest.raises(ShapeError):
