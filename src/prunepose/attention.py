@@ -1,4 +1,6 @@
-"""Multi-head attention, pre-norm transformer blocks, and the fusion layer."""
+"""Multi-head attention, pre-norm transformer blocks, and the fusion layer.
+Self-attention and the fusion layer's cross-attention share one projection,
+``_attend``."""
 
 from __future__ import annotations
 
@@ -98,13 +100,19 @@ def init_spatio_temporal(rng: np.random.Generator, width: int, heads: int,
     )
 
 
-def multi_head_self_attention(x: DiffNode, p: AttentionParams) -> DiffNode:
-    if x.shape[1] != p.w_q.shape[0]:
-        raise ShapeError(f"token width {x.shape[1]} vs projection {p.w_q.shape}")
-    q = matmul(x, p.w_q)
-    k = matmul(x, p.w_k)
-    v = matmul(x, p.w_v)
+def _attend(q_src: DiffNode, kv_src: DiffNode, p: AttentionParams) -> DiffNode:
+    """Queries projected from ``q_src``, keys and values from ``kv_src``,
+    attended head by head, then projected out."""
+    if q_src.shape[1] != p.w_q.shape[0]:
+        raise ShapeError(f"token width {q_src.shape[1]} vs projection {p.w_q.shape}")
+    q = matmul(q_src, p.w_q)
+    k = matmul(kv_src, p.w_k)
+    v = matmul(kv_src, p.w_v)
     return matmul(attention(q, k, v, p.heads), p.w_o)
+
+
+def multi_head_self_attention(x: DiffNode, p: AttentionParams) -> DiffNode:
+    return _attend(x, x, p)
 
 
 def cross_attention(f_fine: DiffNode, f_coarse: DiffNode,
@@ -112,12 +120,7 @@ def cross_attention(f_fine: DiffNode, f_coarse: DiffNode,
     """Queries from the fine tokens, keys and values from the coarse tokens."""
     if f_fine.shape[1] != f_coarse.shape[1]:
         raise ShapeError(f"token widths differ: {f_fine.shape} vs {f_coarse.shape}")
-    if f_fine.shape[1] != p.w_q.shape[0]:
-        raise ShapeError(f"token width {f_fine.shape[1]} vs projection {p.w_q.shape}")
-    q = matmul(f_fine, p.w_q)
-    k = matmul(f_coarse, p.w_k)
-    v = matmul(f_coarse, p.w_v)
-    return matmul(attention(q, k, v, p.heads), p.w_o)
+    return _attend(f_fine, f_coarse, p)
 
 
 def _mlp(x: DiffNode, p: BlockParams) -> DiffNode:

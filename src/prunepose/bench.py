@@ -19,6 +19,7 @@ from .model import (
     TrainingError,
     _descend,
     _mean_loss,
+    _upsample_grid,
     decode_head,
     forward_full,
     init_model_params,
@@ -32,8 +33,6 @@ from .tensor import (
     backward,
     gather_rows,
     mac_tally,
-    reshape,
-    upsample_bilinear,
 )
 
 __all__ = [
@@ -82,9 +81,7 @@ def forward_baseline(triplet: FrameTriplet, cfg: ModelConfig, params: ModelParam
         joint = transformer_block(joint, b)
     n = cfg.tokens_per_frame
     key = gather_rows(joint, np.arange(n, 2 * n))
-    gh, gw = cfg.grid
-    grid = upsample_bilinear(reshape(key, (gh, gw, cfg.embed_dim)), cfg.upsample_factor)
-    return decode_head(reshape(grid, (cfg.hr_tokens, cfg.embed_dim)), cfg, params)
+    return decode_head(_upsample_grid(key, cfg), cfg, params)
 
 
 def _time_variant(fn, warmup: int, iters: int):
@@ -111,15 +108,6 @@ def _time_variant(fn, warmup: int, iters: int):
     }
 
 
-def _config_echo(bench: BenchConfig) -> dict:
-    return {
-        "model": dataclasses.asdict(bench.model),
-        "warmup": bench.warmup,
-        "iters": bench.iters,
-        "seed": bench.seed,
-    }
-
-
 def run_bench(bench: BenchConfig) -> dict:
     """Time the baseline, unpruned, and pruned pipeline variants."""
     cfg = bench.model
@@ -138,7 +126,7 @@ def run_bench(bench: BenchConfig) -> dict:
     return {
         "schema": REPORT_SCHEMA,
         "command": "bench",
-        "config": _config_echo(bench),
+        "config": dataclasses.asdict(bench),
         "variants": results,
     }
 
@@ -191,6 +179,8 @@ def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
         raise ValueError(f"ratios must be nonempty and >= 1, got {ratios}")
     if iters < 1:
         raise ValueError(f"timed iterations must be >= 1, got {iters}")
+    if train_steps < 0:
+        raise ValueError(f"training steps must be >= 0, got {train_steps}")
     if not lr >= 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
     cells = []

@@ -11,6 +11,7 @@ import json
 import sys
 
 from .bench import (
+    REPORT_SCHEMA,
     BenchConfig,
     _with_eps,
     run_bench,
@@ -35,13 +36,13 @@ class UsageError(Exception):
 
 
 def _model_config(raw: dict) -> ModelConfig:
-    raw = dict(raw)
-    for key in ("hr_cfg", "lr_cfg"):
-        if key in raw and isinstance(raw[key], dict):
-            raw[key] = DpcConfig(**raw[key])
-    if "image_size" in raw:
-        raw["image_size"] = tuple(raw["image_size"])
     try:
+        raw = dict(raw)
+        for key in ("hr_cfg", "lr_cfg"):
+            if key in raw and isinstance(raw[key], dict):
+                raw[key] = DpcConfig(**raw[key])
+        if "image_size" in raw:
+            raw["image_size"] = tuple(raw["image_size"])
         return ModelConfig(**raw)
     except (TypeError, ValueError) as e:
         raise UsageError(f"bad model config: {e}") from e
@@ -52,9 +53,12 @@ def _load_config(path) -> dict:
         return {}
     try:
         with open(path) as fh:
-            return json.load(fh)
+            raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise UsageError(f"cannot read config {path}: {e}") from e
+    if not isinstance(raw, dict) or not isinstance(raw.get("model", {}), dict):
+        raise UsageError(f"config {path} must hold a JSON object whose \"model\" is an object")
+    return raw
 
 
 def _resolve_model(args, defaults: dict | None = None) -> ModelConfig:
@@ -168,7 +172,7 @@ def run(argv=None) -> int:
             out = args.out or "synth_dump"
             scene = SynthScene(seed=args.seed, joints=args.joints)
             meta = dump_sequence(out, scene, args.length)
-            print(json.dumps({"schema": "prunepose-report-v1", "command": "dump-synth",
+            print(json.dumps({"schema": REPORT_SCHEMA, "command": "dump-synth",
                               "out": out, "frames": len(meta["frames"])}, indent=2))
             return 0
     except (UsageError, ValueError, KeyError) as e:

@@ -80,9 +80,16 @@ class ModelConfig:
     add_hr_pos_embed: bool = True
 
     def __post_init__(self):
+        for name in ("patch", "heads", "embed_dim", "joints", "upsample_factor"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not (isinstance(self.hr_cfg, DpcConfig) and isinstance(self.lr_cfg, DpcConfig)):
+            raise ValueError(f"hr_cfg and lr_cfg must be DpcConfigs, "
+                             f"got {self.hr_cfg!r} and {self.lr_cfg!r}")
         h, w = self.image_size
-        if h % self.patch or w % self.patch:
-            raise ValueError(f"image size {self.image_size} not divisible by patch {self.patch}")
+        if min(h, w) < 1 or h % self.patch or w % self.patch:
+            raise ValueError(f"image size {self.image_size} must be positive multiples "
+                             f"of patch {self.patch}")
         if self.embed_dim % self.heads:
             raise ValueError(f"embed dim {self.embed_dim} not divisible by {self.heads} heads")
 
@@ -223,17 +230,21 @@ def patch_embed_backbone(triplet: FrameTriplet, cfg: ModelConfig,
     return out
 
 
+def _upsample_grid(tokens: DiffNode, cfg: ModelConfig) -> DiffNode:
+    """One frame's (gh*gw, C) token matrix as its grid, upsampled by
+    ``cfg.upsample_factor`` and read back as the (hr_tokens, C) matrix."""
+    gh, gw = cfg.grid
+    grid = upsample_bilinear(reshape(tokens, (gh, gw, cfg.embed_dim)), cfg.upsample_factor)
+    return reshape(grid, (cfg.hr_tokens, cfg.embed_dim))
+
+
 def high_res_branch(f_t: DiffNode, cfg: ModelConfig, params: ModelParams,
                     selection: PruneSelection | None = None):
     """Upsample the key frame tokens, prune, refine with the shared blocks.
 
     Returns (refined tokens, selection, full pre-pruning grid).
     """
-    gh, gw = cfg.grid
-    c = cfg.embed_dim
-    grid = reshape(f_t, (gh, gw, c))
-    up = upsample_bilinear(grid, cfg.upsample_factor)
-    flat = reshape(up, (cfg.hr_tokens, c))
+    flat = _upsample_grid(f_t, cfg)
     if params.hr_pos_embed is not None:
         flat = add(flat, params.hr_pos_embed)
     if selection is None:

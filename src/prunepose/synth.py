@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FrameTriplet
-from .tensor import _bilinear, _bilinear_axis
+from .tensor import _bilinear, _bilinear_axis, _corners
 
 __all__ = [
     "DEFAULT_PARENTS",
@@ -183,9 +183,9 @@ def expand_and_crop(box: BoundingBox, frames, out_size=(256, 192),
         raise ValueError(f"expected three same-size frames, got {len(frames)} of {shapes}")
     ih, iw = shapes[0][:2]
     region = clamp_box(expand_box(box, factor), (ih, iw))
-    rows = _bilinear_axis(region.y, region.h, ih, out_size[0])
-    cols = _bilinear_axis(region.x, region.w, iw, out_size[1])
-    crops = tuple(_bilinear(np.asarray(f, dtype=np.float64), rows, cols) for f in frames)
+    corners = _corners(_bilinear_axis(region.y, region.h, ih, out_size[0]),
+                       _bilinear_axis(region.x, region.w, iw, out_size[1]))
+    crops = tuple(_bilinear(np.asarray(f, dtype=np.float64), corners) for f in frames)
     return FrameTriplet(images=crops), region
 
 

@@ -3,8 +3,9 @@
 Everything is plain numpy under the hood. A ``DiffNode`` holds its value as
 a float64 ndarray together with the bookkeeping needed to run a backward pass
 from a scalar output. All operations are pure: they never modify their inputs.
-The central-difference loop of every gradient check and the bilinear
-resampler that ``synth`` crops with live here too.
+The central-difference loop of every gradient check lives here too, and so
+does the one bilinear corner list: ``upsample_bilinear``'s forward, its VJP
+and ``synth``'s crops all read the same four (index, weight) corners.
 """
 
 from __future__ import annotations
@@ -151,16 +152,11 @@ def backward(root: DiffNode):
     order = _toposort(root)
     grads: dict[int, np.ndarray] = {id(root): np.ones(root.shape)}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
-        if g is None:
-            g = np.zeros(node.shape)
-        node.grad = g
+        node.grad = g = grads.pop(id(node))  # every consumer has already run
         if node._vjp is None:
             continue
         parent_grads = node._vjp(g)
         for p, pg in zip(node.parents, parent_grads):
-            if pg is None:
-                continue
             acc = grads.get(id(p))
             if acc is None:
                 grads[id(p)] = np.array(pg, dtype=np.float64, order="C")
@@ -364,17 +360,20 @@ def _bilinear_axis(start: float, length: float, n_in: int, n_out: int):
     return lo, hi, coords - lo
 
 
-def _bilinear(image: np.ndarray, rows, cols) -> np.ndarray:
-    """Bilinear resample of an HxWxC array at the :func:`_bilinear_axis`
-    sample points ``rows`` and ``cols``: the weighted sum of four corners."""
-    y0, y1, wy = rows
-    x0, x1, wx = cols
-    wy = wy[:, None, None]
-    wx = wx[None, :, None]
-    return ((1 - wy) * (1 - wx) * image[np.ix_(y0, x0)]
-            + (1 - wy) * wx * image[np.ix_(y0, x1)]
-            + wy * (1 - wx) * image[np.ix_(y1, x0)]
-            + wy * wx * image[np.ix_(y1, x1)])
+def _corners(rows, cols) -> list:
+    """``(index, weight)`` of the corners (y0, x0), (y0, x1), (y1, x0), (y1, x1)
+    of a bilinear resample at the :func:`_bilinear_axis` points ``rows``, ``cols``."""
+    (y0, y1, wy), (x0, x1, wx) = rows, cols
+    wy, wx = wy[:, None, None], wx[None, :, None]
+    return [(np.ix_(y0, x0), (1 - wy) * (1 - wx)), (np.ix_(y0, x1), (1 - wy) * wx),
+            (np.ix_(y1, x0), wy * (1 - wx)), (np.ix_(y1, x1), wy * wx)]
+
+
+def _bilinear(image: np.ndarray, corners) -> np.ndarray:
+    """Bilinear resample of an HxWxC array: the weighted sum of its four
+    :func:`_corners`, the list that the upsample VJP scatters back through."""
+    (i0, w0), (i1, w1), (i2, w2), (i3, w3) = corners
+    return w0 * image[i0] + w1 * image[i1] + w2 * image[i2] + w3 * image[i3]
 
 
 def upsample_bilinear(x: DiffNode, factor: int) -> DiffNode:
@@ -387,24 +386,15 @@ def upsample_bilinear(x: DiffNode, factor: int) -> DiffNode:
     if factor == 1:
         return DiffNode(xv.copy(), (x,), lambda g: (g,))
     h, w, _ = xv.shape
-    rows = y0, y1, wy = _bilinear_axis(0, h, h, h * factor)
-    cols = x0, x1, wx = _bilinear_axis(0, w, w, w * factor)
-    out = _bilinear(xv, rows, cols)
+    corners = _corners(_bilinear_axis(0, h, h, h * factor),
+                       _bilinear_axis(0, w, w, w * factor))
+    out = _bilinear(xv, corners)
     _record_macs(4 * out.size)
 
     def vjp(g):
         gx = np.zeros_like(xv)
-        yy0 = np.repeat(y0, w * factor)
-        yy1 = np.repeat(y1, w * factor)
-        xx0 = np.tile(x0, h * factor)
-        xx1 = np.tile(x1, h * factor)
-        gflat = g.reshape(-1, g.shape[2])
-        wyf = np.repeat(wy.ravel(), w * factor)[:, None]
-        wxf = np.tile(wx.ravel(), h * factor)[:, None]
-        np.add.at(gx, (yy0, xx0), (1 - wyf) * (1 - wxf) * gflat)
-        np.add.at(gx, (yy0, xx1), (1 - wyf) * wxf * gflat)
-        np.add.at(gx, (yy1, xx0), wyf * (1 - wxf) * gflat)
-        np.add.at(gx, (yy1, xx1), wyf * wxf * gflat)
+        for idx, weight in corners:
+            np.add.at(gx, idx, weight * g)
         return (gx,)
 
     return DiffNode(out, (x,), vjp)

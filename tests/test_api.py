@@ -1,5 +1,6 @@
 """Every public name resolves: each ``prunepose`` module's ``__all__`` and
-each name the package root re-exports. Every module uses what it imports."""
+each name the package root re-exports. Every module uses what it imports,
+and every private module-level name is used somewhere in the package."""
 
 import ast
 import importlib
@@ -55,3 +56,30 @@ def _unused_imports(path: Path) -> list:
 def test_every_import_is_used(module_name):
     unused = _unused_imports(Path(importlib.import_module(module_name).__file__))
     assert not unused, f"{module_name} imports names it never uses: {unused}"
+
+
+def _private_definitions(tree) -> list:
+    """Module-level ``_name`` functions, classes and constants, dunders aside."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def test_every_private_name_is_used():
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(Path(prunepose.__file__).parent.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    dead = [f"{module}:{name}" for module, tree in trees.items()
+            for name in _private_definitions(tree) if name not in read]
+    assert not dead, f"private names defined but never used: {dead}"

@@ -10,7 +10,7 @@ from prunepose.attention import (
     spatio_temporal_block,
     transformer_block,
 )
-from prunepose.tensor import ShapeError, constant, finite_diff_check, mul, sum_all
+from prunepose.tensor import ShapeError, backward, constant, finite_diff_check, mul, sum_all
 
 
 def identity_params(c, heads=1):
@@ -76,6 +76,19 @@ class TestSelfAttention:
     def test_heads_must_divide_width(self):
         with pytest.raises(ShapeError):
             identity_params(3, heads=2)
+
+    def test_bit_identical_to_cross_attention_on_itself(self):
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(6, 8))
+        results = []
+        for attend in (multi_head_self_attention, lambda x, p: cross_attention(x, x, p)):
+            x = constant(np.random.default_rng(7).normal(size=(6, 8)))
+            p = random_params(np.random.default_rng(9), 8, 2)
+            out = attend(x, p)
+            backward(sum_all(mul(out, constant(g))))
+            results.append([out.value, x.grad, p.w_q.grad, p.w_k.grad, p.w_v.grad, p.w_o.grad])
+        for got, want in zip(*results):
+            assert np.array_equal(got, want)
 
 
 class TestCrossAttention:

@@ -6,6 +6,7 @@ import pytest
 
 from prunepose.attention import spatio_temporal_block, transformer_block
 from prunepose.bench import (
+    REPORT_SCHEMA,
     BenchConfig,
     forward_baseline,
     run_gradcheck,
@@ -289,6 +290,42 @@ class TestCli:
     def test_bad_flag_value_exits_2(self, argv, capsys):
         assert run(argv) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, config", [
+        (["gradcheck"], {"model": {"hr_cfg": {"kk": 3}}}),
+        (["gradcheck"], {"model": {"heads": 0}}),
+        (["gradcheck"], {"model": {"patch": 0}}),
+        (["gradcheck"], [1]),
+        (["gradcheck"], {"model": {"image_size": 5}}),
+        (["gradcheck"], {"model": {"hr_cfg": 6}}),
+        (["gradcheck"], {"model": {"image_size": [0, 0]}}),
+        (["gradcheck"], {"model": [1]}),
+        (["ratio-grid", "--train-steps", "-3"], None),
+    ], ids=["hr_cfg-unknown-key", "heads-0", "patch-0", "not-an-object", "image_size-int",
+            "hr_cfg-int", "image_size-zero", "model-not-an-object", "train-steps-negative"])
+    def test_malformed_input_exits_2(self, argv, config, tmp_path, capsys):
+        if config is not None:
+            path = tmp_path / "f.json"
+            path.write_text(json.dumps(config))
+            argv = argv + ["--config", str(path)]
+        assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [
+        ["bench", "--iters", "1", "--warmup", "0"],
+        ["ratio-grid", "--ratios", "1", "--train-steps", "0", "--iters", "1"],
+        ["gradcheck", "--max-coords", "1"],
+        ["train-smoke", "--steps", "1", "--batch", "1"],
+        ["dump-synth", "--length", "3"],
+    ])
+    def test_every_report_carries_the_schema(self, argv, tmp_path, capsys):
+        if argv[0] == "dump-synth":
+            argv = argv + ["--out", str(tmp_path / "dump")]
+        else:
+            argv = argv + ["--config", self._tiny_config_file(tmp_path)]
+        run(argv)
+        report = json.loads(capsys.readouterr().out)
+        assert (report["schema"], report["command"]) == (REPORT_SCHEMA, argv[0])
 
     def test_dump_synth(self, tmp_path, capsys):
         out = tmp_path / "dump"

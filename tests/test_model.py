@@ -42,6 +42,16 @@ def default_setup():
     return cfg, params, triplet, target
 
 
+@pytest.mark.parametrize("bad", [
+    dict(patch=0), dict(heads=0), dict(embed_dim=0), dict(joints=0), dict(upsample_factor=0),
+    dict(hr_cfg=6), dict(lr_cfg={"epsilon": 4}),
+    dict(image_size=(0, 0)), dict(image_size=(-16, 16)),
+])
+def test_model_config_rejects_bad_values(bad):
+    with pytest.raises(ValueError):
+        ModelConfig(**bad)
+
+
 class TestPatchEmbed:
     def test_default_token_count(self, default_setup):
         cfg, params, triplet, _ = default_setup

@@ -115,6 +115,33 @@ def upsample_oracle(x, factor):
     return out
 
 
+def repeat_tile_upsample_vjp(xv, factor, g):
+    """The upsample VJP as written before it shared the forward's corner list:
+    flattened repeat/tile copies of the corner indices and weights, then four
+    ``np.add.at`` scatters of the output gradient ``g``."""
+    h, w, _ = xv.shape
+
+    def axis(n):
+        coords = np.clip((np.arange(n * factor) + 0.5) / factor - 0.5, 0.0, n - 1.0)
+        lo = np.floor(coords).astype(np.intp)
+        return lo, np.minimum(lo + 1, n - 1), coords - lo
+
+    (y0, y1, wy), (x0, x1, wx) = axis(h), axis(w)
+    gx = np.zeros_like(xv)
+    yy0 = np.repeat(y0, w * factor)
+    yy1 = np.repeat(y1, w * factor)
+    xx0 = np.tile(x0, h * factor)
+    xx1 = np.tile(x1, h * factor)
+    gflat = g.reshape(-1, g.shape[2])
+    wyf = np.repeat(wy.ravel(), w * factor)[:, None]
+    wxf = np.tile(wx.ravel(), h * factor)[:, None]
+    np.add.at(gx, (yy0, xx0), (1 - wyf) * (1 - wxf) * gflat)
+    np.add.at(gx, (yy0, xx1), (1 - wyf) * wxf * gflat)
+    np.add.at(gx, (yy1, xx0), wyf * (1 - wxf) * gflat)
+    np.add.at(gx, (yy1, xx1), wyf * wxf * gflat)
+    return gx
+
+
 class TestUpsampleBilinear:
     def test_constant_preserved(self):
         x = np.full((2, 2, 1), 7.0)
@@ -140,6 +167,20 @@ class TestUpsampleBilinear:
         x = np.random.default_rng(5).normal(size=(3, 2, 4))
         out = upsample_bilinear(constant(x), 3).value
         assert np.allclose(out, upsample_oracle(x, 3), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4, 5])
+    def test_vjp_bit_identical_to_repeat_tile_reference(self, factor):
+        rng = np.random.default_rng(factor)
+        shapes = [(1, 1, 1), (1, 5, 2), (4, 1, 3)]
+        shapes += [tuple(rng.integers(1, 13, size=2)) + (int(rng.integers(1, 9)),)
+                   for _ in range(12)]
+        for shape in shapes:
+            xv = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
+            g = rng.normal(size=(shape[0] * factor, shape[1] * factor, shape[2]))
+            g *= 10.0 ** rng.uniform(-3, 3)
+            x = constant(xv)
+            backward(sum_all(mul(upsample_bilinear(x, factor), constant(g))))
+            assert np.array_equal(x.grad, repeat_tile_upsample_vjp(xv, factor, g)), shape
 
 
 class TestGatherScatter:
