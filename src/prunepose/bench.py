@@ -1,7 +1,10 @@
 """Benchmark suites: latency/MAC comparisons across pruning variants, the
 pruning-ratio grid, whole-model gradient checking, and training smoke runs.
 Losses and descent steps come from ``model``, central differences from
-``tensor``."""
+``tensor``. Every suite draws its synthetic clip from ``_sample``, which
+clamps the scene's joints to the skeleton (a model with more joints gets
+all-zero targets for the rest), and wraps its result in ``_report``, the
+one place that names the report schema."""
 
 from __future__ import annotations
 
@@ -69,6 +72,18 @@ def _with_eps(cfg: ModelConfig, eps_hrb: int | None, eps_lrb: int | None) -> Mod
     return replace(cfg, hr_cfg=hr_cfg, lr_cfg=lr_cfg)
 
 
+def _sample(cfg: ModelConfig, seed: int, **scene):
+    """One (triplet, target) sample of a ``SynthScene`` seeded ``seed``; extra
+    keywords go to the scene."""
+    scene = SynthScene(seed=seed, joints=min(cfg.joints, len(DEFAULT_PARENTS)), **scene)
+    return make_triplet_sample(scene, cfg)[:2]
+
+
+def _report(command: str, config: dict, **fields) -> dict:
+    """Every subcommand's JSON report: schema, command, config, then ``fields``."""
+    return {"schema": REPORT_SCHEMA, "command": command, "config": config, **fields}
+
+
 def forward_baseline(triplet: FrameTriplet, cfg: ModelConfig, params: ModelParams):
     """Single-resolution reference: temporal encoder only, no pruning, no fusion.
 
@@ -112,8 +127,7 @@ def run_bench(bench: BenchConfig) -> dict:
     """Time the baseline, unpruned, and pruned pipeline variants."""
     cfg = bench.model
     params = init_model_params(cfg, bench.seed)
-    scene = SynthScene(seed=bench.seed, joints=min(cfg.joints, len(DEFAULT_PARENTS)))
-    triplet, _, _ = make_triplet_sample(scene, cfg)
+    triplet, _ = _sample(cfg, bench.seed)
     cfg_a = _with_eps(cfg, 1, 1)
 
     variants = {
@@ -123,12 +137,7 @@ def run_bench(bench: BenchConfig) -> dict:
     }
     results = {name: _time_variant(fn, bench.warmup, bench.iters)
                for name, fn in variants.items()}
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": "bench",
-        "config": dataclasses.asdict(bench),
-        "variants": results,
-    }
+    return _report("bench", dataclasses.asdict(bench), variants=results)
 
 
 def run_train_smoke(cfg: ModelConfig, steps: int = 200, lr: float = 0.03,
@@ -140,12 +149,8 @@ def run_train_smoke(cfg: ModelConfig, steps: int = 200, lr: float = 0.03,
     if steps < 1 or batch < 1:
         raise ValueError(f"steps and batch must be >= 1, got {steps} and {batch}")
     params = init_model_params(cfg, seed)
-    samples = []
-    for b in range(batch):
-        scene = SynthScene(seed=seed + 1000 * b, joints=cfg.joints,
-                           image_size=(max(64, cfg.image_size[0]), max(64, cfg.image_size[1])))
-        triplet, target, _ = make_triplet_sample(scene, cfg)
-        samples.append((triplet, target))
+    image_size = (max(64, cfg.image_size[0]), max(64, cfg.image_size[1]))
+    samples = [_sample(cfg, seed + 1000 * b, image_size=image_size) for b in range(batch)]
 
     curve = []
     for step in range(steps):
@@ -155,16 +160,10 @@ def run_train_smoke(cfg: ModelConfig, steps: int = 200, lr: float = 0.03,
             raise TrainingError(f"{e} at step {step}") from e
     final = float(_mean_loss(samples, cfg, params).value)
     curve.append(final)
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": "train-smoke",
-        "config": {"model": dataclasses.asdict(cfg), "steps": steps,
-                   "lr": lr, "seed": seed, "batch": batch},
-        "initial_loss": curve[0],
-        "final_loss": final,
-        "passed": final <= 0.5 * curve[0],
-        "curve": curve,
-    }
+    return _report("train-smoke", {"model": dataclasses.asdict(cfg), "steps": steps,
+                                   "lr": lr, "seed": seed, "batch": batch},
+                   initial_loss=curve[0], final_loss=final,
+                   passed=final <= 0.5 * curve[0], curve=curve)
 
 
 def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
@@ -183,6 +182,7 @@ def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
         raise ValueError(f"training steps must be >= 0, got {train_steps}")
     if not lr >= 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
+    triplet, target = _sample(cfg, seed)  # a pruning ratio does not change it
     cells = []
     for eps_hrb in ratios:
         for eps_lrb in ratios:
@@ -190,8 +190,6 @@ def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
             cell = {"eps_hrb": eps_hrb, "eps_lrb": eps_lrb}
             try:
                 params = init_model_params(cell_cfg, seed)
-                scene = SynthScene(seed=seed, joints=cell_cfg.joints)
-                triplet, target, _ = make_triplet_sample(scene, cell_cfg)
                 for _ in range(train_steps):
                     train_step(triplet, target, cell_cfg, params, lr)
                 loss = float(_mean_loss([(triplet, target)], cell_cfg, params).value)
@@ -202,13 +200,9 @@ def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
             except Exception as e:  # keep going; a bad cell is data too
                 cell.update(error=f"{type(e).__name__}: {e}")
             cells.append(cell)
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": "ratio-grid",
-        "config": {"model": dataclasses.asdict(cfg), "ratios": ratios,
-                   "seed": seed, "train_steps": train_steps, "lr": lr},
-        "cells": cells,
-    }
+    return _report("ratio-grid", {"model": dataclasses.asdict(cfg), "ratios": ratios,
+                                  "seed": seed, "train_steps": train_steps, "lr": lr},
+                   cells=cells)
 
 
 def write_grid_csv(report: dict, path):
@@ -243,9 +237,10 @@ def run_gradcheck(cfg: ModelConfig, seed: int = 0, eps: float = 1e-4,
     """
     if max(cfg.image_size) > 64:
         raise ValueError(f"gradcheck requires a tiny config (<= 64x64 image), got {cfg.image_size}")
+    if not tol > 0:
+        raise ValueError(f"tolerance must be > 0, got {tol}")
     params = init_model_params(cfg, seed)
-    scene = SynthScene(seed=seed, joints=cfg.joints)
-    triplet, target, _ = make_triplet_sample(scene, cfg)
+    triplet, target = _sample(cfg, seed)
 
     _, hr_sel, lr_sel = forward_full(triplet, cfg, params, details=True)
     frozen = (hr_sel, lr_sel)
@@ -259,12 +254,7 @@ def run_gradcheck(cfg: ModelConfig, seed: int = 0, eps: float = 1e-4,
         raise KeyError(f"unknown parameter {corrupt!r}")
     grads = [p.grad + 1.0 if name == corrupt else p.grad for name, p in named]
     worst_err, worst_name = _central_diff(loss_at, named, grads, eps, max_coords_per_param)
-    return {
-        "schema": REPORT_SCHEMA,
-        "command": "gradcheck",
-        "config": {"model": dataclasses.asdict(cfg), "seed": seed,
-                   "eps": eps, "tol": tol},
-        "max_rel_error": float(worst_err),
-        "worst_parameter": worst_name,
-        "passed": bool(worst_err < tol),
-    }
+    return _report("gradcheck", {"model": dataclasses.asdict(cfg), "seed": seed,
+                                 "eps": eps, "tol": tol},
+                   max_rel_error=float(worst_err), worst_parameter=worst_name,
+                   passed=bool(worst_err < tol))

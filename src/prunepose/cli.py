@@ -11,8 +11,8 @@ import json
 import sys
 
 from .bench import (
-    REPORT_SCHEMA,
     BenchConfig,
+    _report,
     _with_eps,
     run_bench,
     run_gradcheck,
@@ -31,10 +31,6 @@ TINY_MODEL = dict(image_size=(32, 32), embed_dim=8, joints=2, heads=2,
 GRID_MODEL = dict(image_size=(64, 48), embed_dim=16, joints=5, heads=2)
 
 
-class UsageError(Exception):
-    pass
-
-
 def _model_config(raw: dict) -> ModelConfig:
     try:
         raw = dict(raw)
@@ -45,7 +41,7 @@ def _model_config(raw: dict) -> ModelConfig:
             raw["image_size"] = tuple(raw["image_size"])
         return ModelConfig(**raw)
     except (TypeError, ValueError) as e:
-        raise UsageError(f"bad model config: {e}") from e
+        raise ValueError(f"bad model config: {e}") from e
 
 
 def _load_config(path) -> dict:
@@ -55,9 +51,9 @@ def _load_config(path) -> dict:
         with open(path) as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
-        raise UsageError(f"cannot read config {path}: {e}") from e
+        raise ValueError(f"cannot read config {path}: {e}") from e
     if not isinstance(raw, dict) or not isinstance(raw.get("model", {}), dict):
-        raise UsageError(f"config {path} must hold a JSON object whose \"model\" is an object")
+        raise ValueError(f"config {path} must hold a JSON object whose \"model\" is an object")
     return raw
 
 
@@ -172,10 +168,11 @@ def run(argv=None) -> int:
             out = args.out or "synth_dump"
             scene = SynthScene(seed=args.seed, joints=args.joints)
             meta = dump_sequence(out, scene, args.length)
-            print(json.dumps({"schema": REPORT_SCHEMA, "command": "dump-synth",
-                              "out": out, "frames": len(meta["frames"])}, indent=2))
+            config = {"seed": args.seed, "joints": args.joints, "length": args.length}
+            print(json.dumps(_report("dump-synth", config, out=out,
+                                     frames=len(meta["frames"])), indent=2))
             return 0
-    except (UsageError, ValueError, KeyError) as e:
+    except (ValueError, KeyError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TrainingError as e:

@@ -1,5 +1,7 @@
 """End-to-end video pose model: shared-weight two-branch encoder with token
-pruning, cross-attention fusion, and a heatmap head."""
+pruning, cross-attention fusion, and a heatmap head. Both branches prune and
+refine through one ``_prune_and_refine``: density-peaks selection, a row
+gather, then the branch blocks whose weights the two branches share."""
 
 from __future__ import annotations
 
@@ -80,9 +82,10 @@ class ModelConfig:
     add_hr_pos_embed: bool = True
 
     def __post_init__(self):
-        for name in ("patch", "heads", "embed_dim", "joints", "upsample_factor"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name, low in (("patch", 1), ("heads", 1), ("embed_dim", 1), ("joints", 1),
+                          ("upsample_factor", 1), ("backbone_depth", 0), ("blocks_per_branch", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not (isinstance(self.hr_cfg, DpcConfig) and isinstance(self.lr_cfg, DpcConfig)):
             raise ValueError(f"hr_cfg and lr_cfg must be DpcConfigs, "
                              f"got {self.hr_cfg!r} and {self.lr_cfg!r}")
@@ -238,6 +241,19 @@ def _upsample_grid(tokens: DiffNode, cfg: ModelConfig) -> DiffNode:
     return reshape(grid, (cfg.hr_tokens, cfg.embed_dim))
 
 
+def _prune_and_refine(tokens: DiffNode, dpc_cfg: DpcConfig, params: ModelParams,
+                      selection: PruneSelection | None):
+    """Keep the rows ``selection`` names (chosen by density peaks under
+    ``dpc_cfg`` when None) and refine them with the shared branch blocks.
+    Returns (refined tokens, selection)."""
+    if selection is None:
+        selection = select(tokens.value, dpc_cfg)
+    tokens = gather_rows(tokens, selection.kept)
+    for b in params.branch_blocks:
+        tokens = transformer_block(tokens, b)
+    return tokens, selection
+
+
 def high_res_branch(f_t: DiffNode, cfg: ModelConfig, params: ModelParams,
                     selection: PruneSelection | None = None):
     """Upsample the key frame tokens, prune, refine with the shared blocks.
@@ -247,24 +263,14 @@ def high_res_branch(f_t: DiffNode, cfg: ModelConfig, params: ModelParams,
     flat = _upsample_grid(f_t, cfg)
     if params.hr_pos_embed is not None:
         flat = add(flat, params.hr_pos_embed)
-    if selection is None:
-        selection = select(flat.value, cfg.hr_cfg)
-    tokens = gather_rows(flat, selection.kept)
-    for b in params.branch_blocks:
-        tokens = transformer_block(tokens, b)
-    return tokens, selection, flat
+    return (*_prune_and_refine(flat, cfg.hr_cfg, params, selection), flat)
 
 
 def low_res_branch(frames, cfg: ModelConfig, params: ModelParams,
                    selection: PruneSelection | None = None):
     """Joint spatio-temporal attention over all frames, then prune and refine."""
-    joint = spatio_temporal_block(frames, params.st)
-    if selection is None:
-        selection = select(joint.value, cfg.lr_cfg)
-    tokens = gather_rows(joint, selection.kept)
-    for b in params.branch_blocks:
-        tokens = transformer_block(tokens, b)
-    return tokens, selection
+    return _prune_and_refine(spatio_temporal_block(frames, params.st), cfg.lr_cfg,
+                             params, selection)
 
 
 def fuse_and_decode(f_f: DiffNode, sel_f: PruneSelection, hr_grid: DiffNode,

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import contextlib
 import threading
+import types
 from typing import Callable, Sequence
 
 import numpy as np
@@ -41,7 +42,6 @@ __all__ = [
     "permute",
     "finite_diff_check",
     "mac_tally",
-    "MacTally",
 ]
 
 
@@ -53,30 +53,22 @@ class ShapeError(ValueError):
 # MAC accounting
 # ---------------------------------------------------------------------------
 
-class MacTally:
-    """Accumulates multiply-accumulate counts, computed analytically from shapes."""
-
-    def __init__(self):
-        self.macs = 0
-
-    def add(self, n: int):
-        self.macs += int(n)
-
-
-_tally_stack = threading.local()
+_tally_stack = threading.local()  # per thread, so each thread's tallies stay apart
 
 
 def _record_macs(n: int):
     stack = getattr(_tally_stack, "stack", None)
     if stack:
         for tally in stack:
-            tally.add(n)
+            tally.macs += int(n)
 
 
 @contextlib.contextmanager
 def mac_tally():
-    """Context manager counting matmul MACs performed inside the block."""
-    tally = MacTally()
+    """Context manager counting the multiply-accumulates, computed analytically
+    from shapes, of the ops run inside the block; it yields an object whose
+    ``macs`` holds the count. Nested tallies each count."""
+    tally = types.SimpleNamespace(macs=0)
     stack = getattr(_tally_stack, "stack", None)
     if stack is None:
         stack = _tally_stack.stack = []

@@ -1,13 +1,16 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from prunepose.attention import spatio_temporal_block, transformer_block
+import prunepose.bench as bench
 from prunepose.bench import (
     REPORT_SCHEMA,
     BenchConfig,
+    _sample,
     forward_baseline,
     run_gradcheck,
     run_ratio_grid,
@@ -97,6 +100,28 @@ class TestRatioGrid:
     def test_empty_ratios_rejected(self):
         with pytest.raises(ValueError):
             run_ratio_grid(SMALL_GRID, ratios=())
+
+    def test_sample_built_once_per_grid(self, monkeypatch):
+        calls = []
+
+        def spy(scene, cfg):
+            calls.append(scene)
+            return make_triplet_sample(scene, cfg)
+
+        monkeypatch.setattr(bench, "make_triplet_sample", spy)
+        report = run_ratio_grid(SMALL_GRID, ratios=(1, 2), train_steps=0, iters=1)
+        assert len(calls) == 1 and len(report["cells"]) == 4
+        assert not any("error" in c for c in report["cells"])
+
+
+def test_sample_pads_joints_beyond_the_skeleton():
+    cfg = replace(SMALL_GRID, joints=17)
+    triplet, target = _sample(cfg, 0)
+    assert target.shape == (17, *cfg.heatmap_size)
+    assert not target[15:].any() and target[:15].any()
+    want, want_target, _ = make_triplet_sample(SynthScene(seed=0), replace(cfg, joints=15))
+    assert all(np.array_equal(a, b) for a, b in zip(triplet.images, want.images))
+    assert np.array_equal(target[:15], want_target)
 
 
 def gradcheck_per_parameter_loop(cfg, eps, corrupt, max_coords):
@@ -286,6 +311,9 @@ class TestCli:
         ["train-smoke", "--lr", "-0.1"],
         ["train-smoke", "--batch", "0"],
         ["train-smoke", "--steps", "0"],
+        ["gradcheck", "--tol", "-1"],
+        ["gradcheck", "--tol", "0"],
+        ["gradcheck", "--tol", "nan"],
     ])
     def test_bad_flag_value_exits_2(self, argv, capsys):
         assert run(argv) == 2
@@ -301,8 +329,11 @@ class TestCli:
         (["gradcheck"], {"model": {"image_size": [0, 0]}}),
         (["gradcheck"], {"model": [1]}),
         (["ratio-grid", "--train-steps", "-3"], None),
+        (["gradcheck", "--max-coords", "1"], {"model": {"backbone_depth": -2}}),
+        (["gradcheck", "--max-coords", "1"], {"model": {"blocks_per_branch": -1}}),
     ], ids=["hr_cfg-unknown-key", "heads-0", "patch-0", "not-an-object", "image_size-int",
-            "hr_cfg-int", "image_size-zero", "model-not-an-object", "train-steps-negative"])
+            "hr_cfg-int", "image_size-zero", "model-not-an-object", "train-steps-negative",
+            "backbone_depth-negative", "blocks_per_branch-negative"])
     def test_malformed_input_exits_2(self, argv, config, tmp_path, capsys):
         if config is not None:
             path = tmp_path / "f.json"
@@ -326,6 +357,26 @@ class TestCli:
         run(argv)
         report = json.loads(capsys.readouterr().out)
         assert (report["schema"], report["command"]) == (REPORT_SCHEMA, argv[0])
+
+    @pytest.mark.parametrize("argv", [
+        ["gradcheck", "--max-coords", "1"],
+        ["train-smoke", "--steps", "30", "--lr", "0.1", "--batch", "1"],
+        ["ratio-grid", "--ratios", "1", "--train-steps", "1", "--iters", "1"],
+    ])
+    def test_more_joints_than_the_skeleton_exits_0(self, argv, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"model": {"joints": 16}}))
+        code = run(argv + ["--config", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["model"]["joints"] == 16
+        assert code == 0
+
+    def test_dump_synth_echoes_its_config(self, tmp_path, capsys):
+        run(["dump-synth", "--length", "4", "--joints", "4", "--seed", "3",
+             "--out", str(tmp_path / "dump")])
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"] == {"seed": 3, "joints": 4, "length": 4}
+        assert report["frames"] == 4
 
     def test_dump_synth(self, tmp_path, capsys):
         out = tmp_path / "dump"

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from prunepose.dpc import DpcConfig
+from prunepose.attention import spatio_temporal_block, transformer_block
+from prunepose.dpc import DpcConfig, PruneSelection, select
 from prunepose.model import (
     FrameTriplet,
     ModelConfig,
@@ -15,12 +16,21 @@ from prunepose.model import (
     init_model_params,
     load_checkpoint,
     low_res_branch,
+    _upsample_grid,
     patch_embed_backbone,
     save_checkpoint,
     train_step,
 )
 from prunepose.synth import SynthScene, make_triplet_sample
-from prunepose.tensor import ShapeError, backward, constant, mac_tally
+from prunepose.tensor import (
+    ShapeError,
+    add,
+    backward,
+    constant,
+    gather_rows,
+    mac_tally,
+    mean_all,
+)
 
 
 TINY = ModelConfig(image_size=(32, 32), embed_dim=8, joints=2, heads=2,
@@ -46,6 +56,7 @@ def default_setup():
     dict(patch=0), dict(heads=0), dict(embed_dim=0), dict(joints=0), dict(upsample_factor=0),
     dict(hr_cfg=6), dict(lr_cfg={"epsilon": 4}),
     dict(image_size=(0, 0)), dict(image_size=(-16, 16)),
+    dict(backbone_depth=-2), dict(blocks_per_branch=-1),
 ])
 def test_model_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
@@ -87,7 +98,66 @@ class TestPatchEmbed:
             patch_embed_backbone(FrameTriplet(images=(bad, bad, bad)), cfg, params)
 
 
+def inline_branches(frames, cfg, params, hr_sel, lr_sel):
+    """Reference: both branches as written before they shared one
+    prune-and-refine step; returns (hr tokens, hr selection, hr grid,
+    lr tokens, lr selection)."""
+    flat = _upsample_grid(frames[1], cfg)
+    if params.hr_pos_embed is not None:
+        flat = add(flat, params.hr_pos_embed)
+    if hr_sel is None:
+        hr_sel = select(flat.value, cfg.hr_cfg)
+    hr = gather_rows(flat, hr_sel.kept)
+    for b in params.branch_blocks:
+        hr = transformer_block(hr, b)
+    joint = spatio_temporal_block(frames, params.st)
+    if lr_sel is None:
+        lr_sel = select(joint.value, cfg.lr_cfg)
+    lr = gather_rows(joint, lr_sel.kept)
+    for b in params.branch_blocks:
+        lr = transformer_block(lr, b)
+    return hr, hr_sel, flat, lr, lr_sel
+
+
+def test_model_config_accepts_zero_depth():
+    cfg = replace(TINY, backbone_depth=0, blocks_per_branch=0)
+    params = init_model_params(cfg, 0)
+    assert params.backbone_blocks == [] and params.branch_blocks == []
+
+
 class TestBranches:
+    @pytest.mark.parametrize("cfg", [ModelConfig(), TINY,
+                                     replace(TINY, lr_cfg=DpcConfig(epsilon=3))],
+                             ids=["default", "tiny", "tiny-lr-eps-3"])
+    @pytest.mark.parametrize("frozen", [False, True], ids=["selected", "frozen"])
+    def test_bit_identical_to_inline_reference(self, cfg, frozen):
+        params = init_model_params(cfg, 5)
+        triplet, _, _ = make_triplet_sample(SynthScene(seed=5, joints=cfg.joints), cfg)
+        hr_sel = lr_sel = None
+        if frozen:  # seeded selections unlike the ones density peaks would pick
+            rng = np.random.default_rng(5)
+            hr_sel, lr_sel = (
+                PruneSelection(kept=np.sort(rng.choice(n, n // d.epsilon, replace=False)),
+                               epsilon=d.epsilon)
+                for n, d in ((cfg.hr_tokens, cfg.hr_cfg), (cfg.temporal_tokens, cfg.lr_cfg)))
+        runs = []
+        for branches in (inline_branches, None):
+            frames = patch_embed_backbone(triplet, cfg, params)
+            if branches is None:
+                hr, got_hr_sel, grid = high_res_branch(frames[1], cfg, params, hr_sel)
+                lr, got_lr_sel = low_res_branch(frames, cfg, params, lr_sel)
+            else:
+                hr, got_hr_sel, grid, lr, got_lr_sel = branches(frames, cfg, params,
+                                                                hr_sel, lr_sel)
+            backward(add(mean_all(hr), mean_all(lr)))
+            runs.append([hr.value, got_hr_sel.kept, grid.value, lr.value, got_lr_sel.kept]
+                        + [p.grad.copy() for _, p in params.named_parameters()
+                           if p.grad is not None])  # fusion and head are not reached
+        want, got = runs
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and np.array_equal(a, b)
+
     def test_high_res_budget_default(self, default_setup):
         cfg, params, triplet, _ = default_setup
         frames = patch_embed_backbone(triplet, cfg, params)
