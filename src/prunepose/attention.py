@@ -103,8 +103,6 @@ def init_spatio_temporal(rng: np.random.Generator, width: int, heads: int,
 def _attend(q_src: DiffNode, kv_src: DiffNode, p: AttentionParams) -> DiffNode:
     """Queries projected from ``q_src``, keys and values from ``kv_src``,
     attended head by head, then projected out."""
-    if q_src.shape[1] != p.w_q.shape[0]:
-        raise ShapeError(f"token width {q_src.shape[1]} vs projection {p.w_q.shape}")
     q = matmul(q_src, p.w_q)
     k = matmul(kv_src, p.w_k)
     v = matmul(kv_src, p.w_v)
@@ -118,14 +116,11 @@ def multi_head_self_attention(x: DiffNode, p: AttentionParams) -> DiffNode:
 def cross_attention(f_fine: DiffNode, f_coarse: DiffNode,
                     p: AttentionParams) -> DiffNode:
     """Queries from the fine tokens, keys and values from the coarse tokens."""
-    if f_fine.shape[1] != f_coarse.shape[1]:
-        raise ShapeError(f"token widths differ: {f_fine.shape} vs {f_coarse.shape}")
     return _attend(f_fine, f_coarse, p)
 
 
 def _mlp(x: DiffNode, p: BlockParams) -> DiffNode:
-    h = gelu(add(matmul(x, p.mlp_w1), p.mlp_b1))
-    return add(matmul(h, p.mlp_w2), p.mlp_b2)
+    return matmul(gelu(matmul(x, p.mlp_w1, p.mlp_b1)), p.mlp_w2, p.mlp_b2)
 
 
 def transformer_block(x: DiffNode, p: BlockParams) -> DiffNode:

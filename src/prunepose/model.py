@@ -106,22 +106,19 @@ class ModelConfig:
         return gh * gw
 
     @property
-    def hr_grid(self) -> tuple:
+    def heatmap_size(self) -> tuple:
+        """The upsampled hr grid, one heatmap pixel per hr token."""
         gh, gw = self.grid
         return (gh * self.upsample_factor, gw * self.upsample_factor)
 
     @property
     def hr_tokens(self) -> int:
-        hh, hw = self.hr_grid
+        hh, hw = self.heatmap_size
         return hh * hw
 
     @property
     def temporal_tokens(self) -> int:
         return 3 * self.tokens_per_frame
-
-    @property
-    def heatmap_size(self) -> tuple:
-        return self.hr_grid
 
 
 @dataclass(frozen=True)
@@ -224,9 +221,8 @@ def patch_embed_backbone(triplet: FrameTriplet, cfg: ModelConfig,
         im = np.asarray(im, dtype=np.float64)
         if im.shape != (*cfg.image_size, 3):
             raise ShapeError(f"image shape {im.shape} != {(*cfg.image_size, 3)}")
-        tokens = add(add(matmul(constant(_patchify(im, cfg.patch)), params.patch_proj),
-                         params.patch_bias),
-                     params.pos_embed)
+        tokens = matmul(constant(_patchify(im, cfg.patch)), params.patch_proj, params.patch_bias)
+        tokens = add(tokens, params.pos_embed)
         for b in params.backbone_blocks:
             tokens = transformer_block(tokens, b)
         out.append(tokens)
@@ -283,8 +279,8 @@ def fuse_and_decode(f_f: DiffNode, sel_f: PruneSelection, hr_grid: DiffNode,
 
 def decode_head(dense: DiffNode, cfg: ModelConfig, params: ModelParams) -> DiffNode:
     """Project each of the hr grid's rows to per-joint scores, as (J, H, W) maps."""
-    hidden = gelu(add(matmul(dense, params.head_w1), params.head_b1))
-    logits = add(matmul(hidden, params.head_w2), params.head_b2)
+    hidden = gelu(matmul(dense, params.head_w1, params.head_b1))
+    logits = matmul(hidden, params.head_w2, params.head_b2)
     hh, hw = cfg.heatmap_size
     return permute(reshape(logits, (hh, hw, cfg.joints)), (2, 0, 1))
 

@@ -3,9 +3,11 @@
 Everything is plain numpy under the hood. A ``DiffNode`` holds its value as
 a float64 ndarray together with the bookkeeping needed to run a backward pass
 from a scalar output. All operations are pure: they never modify their inputs.
-The central-difference loop of every gradient check lives here too, and so
-does the one bilinear corner list: ``upsample_bilinear``'s forward, its VJP
-and ``synth``'s crops all read the same four (index, weight) corners.
+An affine layer is one node, because ``matmul`` takes the bias, and ``add``,
+``sub`` and ``mul`` share one broadcasting op. The central-difference loop of
+every gradient check lives here too, and so does the one bilinear corner list:
+``upsample_bilinear``'s forward, its VJP and ``synth``'s crops all read the
+same four (index, weight) corners.
 """
 
 from __future__ import annotations
@@ -170,59 +172,45 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     return g
 
 
-def matmul(a: DiffNode, b: DiffNode) -> DiffNode:
-    """Matrix product of two 2-D nodes."""
+def matmul(a: DiffNode, b: DiffNode, bias: DiffNode | None = None) -> DiffNode:
+    """Matrix product of two 2-D nodes, plus ``bias``, of shape (n,), on every
+    row of the (m, n) product when given: an affine layer in one node."""
     av, bv = a.value, b.value
     if av.ndim != 2 or bv.ndim != 2 or av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul shapes do not conform: {av.shape} x {bv.shape}")
-    m, k = av.shape
-    n = bv.shape[1]
+    (m, k), n = av.shape, bv.shape[1]
+    if bias is not None and bias.shape != (n,):
+        raise ShapeError(f"matmul bias shape {bias.shape} != ({n},)")
     _record_macs(m * k * n)
     out = av @ bv
+    if bias is None:
+        return DiffNode(out, (a, b), lambda g: (g @ bv.T, av.T @ g))
+    out += bias.value
+    return DiffNode(out, (a, b, bias), lambda g: (g @ bv.T, av.T @ g, g.sum(axis=0)))
 
-    def vjp(g):
-        return g @ bv.T, av.T @ g
 
-    return DiffNode(out, (a, b), vjp)
+def _broadcast(f, a: DiffNode, b: DiffNode, vjp) -> DiffNode:
+    """``f(a, b)`` under numpy broadcasting. ``vjp(g, av, bv)`` gives both
+    operands' gradients at the output's shape; each is summed to its operand's."""
+    av, bv = a.value, b.value
+    try:
+        out = f(av, bv)
+    except ValueError as e:
+        raise ShapeError(f"{f.__name__} shapes do not broadcast: {av.shape}, {bv.shape}") from e
+    return DiffNode(out, (a, b), lambda g: tuple(
+        _unbroadcast(gx, x.shape) for gx, x in zip(vjp(g, av, bv), (av, bv))))
 
 
 def add(a: DiffNode, b: DiffNode) -> DiffNode:
-    av, bv = a.value, b.value
-    try:
-        out = av + bv
-    except ValueError as e:
-        raise ShapeError(f"add shapes do not broadcast: {av.shape} + {bv.shape}") from e
-
-    def vjp(g):
-        return _unbroadcast(g, av.shape), _unbroadcast(g, bv.shape)
-
-    return DiffNode(out, (a, b), vjp)
+    return _broadcast(np.add, a, b, lambda g, av, bv: (g, g))
 
 
 def sub(a: DiffNode, b: DiffNode) -> DiffNode:
-    av, bv = a.value, b.value
-    try:
-        out = av - bv
-    except ValueError as e:
-        raise ShapeError(f"sub shapes do not broadcast: {av.shape} - {bv.shape}") from e
-
-    def vjp(g):
-        return _unbroadcast(g, av.shape), _unbroadcast(-g, bv.shape)
-
-    return DiffNode(out, (a, b), vjp)
+    return _broadcast(np.subtract, a, b, lambda g, av, bv: (g, -g))
 
 
 def mul(a: DiffNode, b: DiffNode) -> DiffNode:
-    av, bv = a.value, b.value
-    try:
-        out = av * bv
-    except ValueError as e:
-        raise ShapeError(f"mul shapes do not broadcast: {av.shape} * {bv.shape}") from e
-
-    def vjp(g):
-        return _unbroadcast(g * bv, av.shape), _unbroadcast(g * av, bv.shape)
-
-    return DiffNode(out, (a, b), vjp)
+    return _broadcast(np.multiply, a, b, lambda g, av, bv: (g * bv, g * av))
 
 
 def scale(a: DiffNode, s: float) -> DiffNode:
@@ -375,8 +363,6 @@ def upsample_bilinear(x: DiffNode, factor: int) -> DiffNode:
     xv = x.value
     if xv.ndim != 3:
         raise ShapeError(f"upsample_bilinear expects HxWxC, got shape {xv.shape}")
-    if factor == 1:
-        return DiffNode(xv.copy(), (x,), lambda g: (g,))
     h, w, _ = xv.shape
     corners = _corners(_bilinear_axis(0, h, h, h * factor),
                        _bilinear_axis(0, w, w, w * factor))

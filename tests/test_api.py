@@ -83,3 +83,21 @@ def test_every_private_name_is_used():
     dead = [f"{module}:{name}" for module, tree in trees.items()
             for name in _private_definitions(tree) if name not in read]
     assert not dead, f"private names defined but never used: {dead}"
+
+
+def _called_name(node) -> str | None:
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_no_bias_added_after_matmul():
+    """An affine layer passes its bias to ``matmul``: ``add(matmul(...), ...)``
+    would spend a second node and a second tape array on it."""
+    found = []
+    for path in sorted(Path(prunepose.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and _called_name(node) == "add" and node.args
+                    and isinstance(node.args[0], ast.Call)
+                    and _called_name(node.args[0]) == "matmul"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"add(matmul(...), ...) instead of matmul(..., bias): {found}"

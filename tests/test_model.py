@@ -310,6 +310,33 @@ class TestForwardFull:
         assert pruned.macs < unpruned.macs
 
 
+def graph_nodes(root) -> int:
+    """Nodes reachable from ``root`` through ``.parents``, leaves included."""
+    seen, stack = {id(root)}, [root]
+    while stack:
+        for parent in stack.pop().parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return len(seen)
+
+
+class TestGraphSize:
+    """Pinned tape sizes: each affine layer is one ``matmul`` node with its bias."""
+
+    def test_tiny_forward_loss_graph(self, tiny_sample):
+        triplet, target, _ = tiny_sample
+        loss = heatmap_loss(forward_full(triplet, TINY, init_model_params(TINY, 0)), target)
+        assert graph_nodes(loss) == 242
+
+    @pytest.mark.parametrize("pos_embed,nodes", [(True, 238), (False, 236)])
+    def test_default_heatmap_graph(self, default_setup, pos_embed, nodes):
+        cfg, _, triplet, _ = default_setup
+        cfg = replace(cfg, add_hr_pos_embed=pos_embed)
+        heatmap = forward_full(triplet, cfg, init_model_params(cfg, 0))
+        assert graph_nodes(heatmap.maps) == nodes
+
+
 class TestTrainStep:
     def test_zero_lr_leaves_params(self, tiny_sample):
         triplet, target, _ = tiny_sample

@@ -74,6 +74,94 @@ class TestMatmul:
         assert tally.macs == 3 * 4 * 5
 
 
+def _leaves(rng, *shapes):
+    return [constant(rng.normal(size=s)) for s in shapes]
+
+
+class TestMatmulBias:
+    """``matmul(a, b, bias)`` is one node that equals ``add(matmul(a, b), bias)``."""
+
+    @staticmethod
+    def _shared_weight_loss(affine, a1, a2, w, bias, c1, c2):
+        # w and bias feed two products, so their gradients accumulate
+        return add(sum_all(mul(affine(a1, w, bias), c1)), sum_all(mul(affine(a2, w, bias), c2)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bit_identical_to_matmul_then_add(self, seed):
+        shapes = [(5, 4), (3, 4), (4, 6), (6,), (5, 6), (3, 6)]
+        fused = _leaves(np.random.default_rng(seed), *shapes)
+        split = _leaves(np.random.default_rng(seed), *shapes)
+        a, _, w, bias = fused[:4]
+        assert np.array_equal(matmul(a, w, bias).value, add(matmul(a, w), bias).value)
+        loss_f = self._shared_weight_loss(matmul, *fused)
+        loss_s = self._shared_weight_loss(lambda a, w, b: add(matmul(a, w), b), *split)
+        backward(loss_f)
+        backward(loss_s)
+        assert loss_f.value == loss_s.value
+        for f, s in zip(fused[:4], split[:4]):  # a1, a2, w, bias
+            assert np.array_equal(f.grad, s.grad)
+
+    def test_one_node_with_bias_as_third_parent(self):
+        a, w, bias = _leaves(np.random.default_rng(3), (2, 3), (3, 4), (4,))
+        out = matmul(a, w, bias)
+        assert out.parents == (a, w, bias)
+        assert matmul(a, w).parents == (a, w)
+
+    @pytest.mark.parametrize("shape", [(3,), (1, 4), (4, 1), (2, 4), (), (5,)])
+    def test_bias_shape_must_be_n(self, shape):
+        a, w = _leaves(np.random.default_rng(4), (2, 3), (3, 4))
+        with pytest.raises(ShapeError, match="bias"):
+            matmul(a, w, constant(np.zeros(shape)))
+
+    def test_bias_adds_no_macs(self):
+        with mac_tally() as tally:
+            matmul(constant(np.zeros((3, 4))), constant(np.zeros((4, 5))), constant(np.zeros(5)))
+        assert tally.macs == 3 * 4 * 5
+
+    def test_gradient_check_through_bias(self):
+        a, w = _leaves(np.random.default_rng(5), (3, 4), (4, 2))
+        f = lambda b: sum_all(mul(m := matmul(a, w, b), m))
+        assert finite_diff_check(f, np.random.default_rng(6).normal(size=2)) < 1e-5
+
+
+def _unbroadcast_reference(g, shape):
+    while g.ndim > len(shape):
+        g = g.sum(axis=0)
+    for ax, n in enumerate(shape):
+        if n == 1 and g.shape[ax] != 1:
+            g = g.sum(axis=ax, keepdims=True)
+    return g
+
+
+class TestBroadcastOps:
+    """``add``, ``sub`` and ``mul`` against numpy broadcasting and the summed
+    gradients of each operand."""
+
+    OPS = [(add, np.add, lambda g, a, b: (g, g)),
+           (sub, np.subtract, lambda g, a, b: (g, -g)),
+           (mul, np.multiply, lambda g, a, b: (g * b, g * a))]
+    SHAPES = [((3, 4), (3, 4)), ((3, 4), (4,)), ((3, 4), (3, 1)), ((1, 4), (3, 1)),
+              ((2, 3, 4), (4,)), ((3, 4), ())]
+
+    @pytest.mark.parametrize("op,np_op,vjp", OPS)
+    @pytest.mark.parametrize("shapes", SHAPES)
+    def test_value_and_gradients(self, op, np_op, vjp, shapes):
+        rng = np.random.default_rng(11)
+        a, b = _leaves(rng, *shapes)
+        weights = rng.normal(size=np.broadcast_shapes(*shapes))
+        out = op(a, b)
+        assert np.array_equal(out.value, np_op(a.value, b.value))
+        backward(sum_all(mul(out, constant(weights))))
+        ga, gb = vjp(weights, a.value, b.value)
+        assert np.array_equal(a.grad, _unbroadcast_reference(ga, shapes[0]))
+        assert np.array_equal(b.grad, _unbroadcast_reference(gb, shapes[1]))
+
+    @pytest.mark.parametrize("op", [add, sub, mul])
+    def test_shapes_that_do_not_broadcast_rejected(self, op):
+        with pytest.raises(ShapeError, match=r"\(3, 4\).*\(3,\)"):
+            op(constant(np.zeros((3, 4))), constant(np.zeros(3)))
+
+
 class TestSoftmaxRows:
     def test_symmetry(self):
         out = softmax_rows(constant([[0.0, 0.0]])).value
