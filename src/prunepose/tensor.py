@@ -230,14 +230,20 @@ def mean_all(a: DiffNode) -> DiffNode:
 
 
 def _softmax(x: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, stabilized by max subtraction."""
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    return e / e.sum(axis=-1, keepdims=True)
+    """Softmax along the last axis, stabilized by max subtraction, written
+    over ``x``."""
+    x -= x.max(axis=-1, keepdims=True)
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _softmax_vjp(s: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Gradient at the logits of ``s = _softmax(logits)``, given ``g`` at ``s``."""
-    return s * (g - (g * s).sum(axis=-1, keepdims=True))
+    """Gradient at the logits of ``s = _softmax(logits)``, given ``g`` at ``s``,
+    written over ``g``."""
+    g -= (g * s).sum(axis=-1, keepdims=True)
+    g *= s
+    return g
 
 
 def softmax_rows(x: DiffNode) -> DiffNode:
@@ -245,8 +251,8 @@ def softmax_rows(x: DiffNode) -> DiffNode:
     xv = x.value
     if xv.ndim != 2:
         raise ShapeError(f"softmax_rows expects a matrix, got shape {xv.shape}")
-    s = _softmax(xv)
-    return DiffNode(s, (x,), lambda g: (_softmax_vjp(s, g),))
+    s = _softmax(xv.copy())
+    return DiffNode(s, (x,), lambda g: (_softmax_vjp(s, g.copy()),))
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
@@ -278,12 +284,15 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
     qh, kh, vh = (_split_heads(x, heads) for x in (qv, kv, vv))
     s = 1.0 / np.sqrt(d)
     _record_macs(2 * heads * nq * nk * d)
-    p = _softmax((qh @ kh.transpose(0, 2, 1)) * s)
+    logits = qh @ kh.transpose(0, 2, 1)
+    logits *= s
+    p = _softmax(logits)  # in place: the (heads, Nq, Nk) arrays are the big ones
     out = _merge_heads(p @ vh)
 
     def vjp(g):
         gh = _split_heads(g, heads)
-        g_logits = _softmax_vjp(p, gh @ vh.transpose(0, 2, 1)) * s
+        g_logits = _softmax_vjp(p, gh @ vh.transpose(0, 2, 1))
+        g_logits *= s
         return (_merge_heads(g_logits @ kh),
                 _merge_heads(g_logits.transpose(0, 2, 1) @ qh),
                 _merge_heads(p.transpose(0, 2, 1) @ gh))

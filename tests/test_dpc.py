@@ -9,6 +9,7 @@ from scipy.spatial.distance import cdist
 import prunepose.dpc as dpc
 from prunepose.dpc import (
     DpcConfig,
+    NonFiniteTokens,
     delta_distance,
     local_density,
     pairwise_sq_dist,
@@ -37,6 +38,25 @@ def dense_reference(x, k, tau, epsilon):
     delta = np.sqrt(delta)
     kept = np.sort(np.lexsort((np.arange(n), -(rho * delta)))[:max(1, n // epsilon)])
     return rho, delta, kept
+
+
+def assert_matches_oracle(x, cfg):
+    scores, sel = prune(x, cfg)
+    rho, delta, _, kept = oracle_scores(x.tolist(), cfg.k, cfg.resolved_tau(x.shape[1]), cfg.epsilon)
+    assert np.array_equal(scores.rho, rho)
+    assert np.array_equal(scores.delta, delta)
+    assert sel.kept.tolist() == kept
+
+
+def local_peaks(x, k):
+    """The local peaks at k, rows whose entry in ``prune``'s neighbour table
+    lists no denser token, with that table (sorted d2, indices) and the
+    density rank of every row."""
+    n = x.shape[0]
+    dist, idx = dpc._nearest(x, k)
+    rho = local_density(x, DpcConfig(k=k))
+    rank = np.argsort(np.lexsort((np.arange(n), -rho)))
+    return np.flatnonzero(~(rank[idx] < rank[:, None]).any(axis=1)), dist, idx, rank
 
 
 def assert_matches_dense_reference(x, cfg):
@@ -162,6 +182,106 @@ class TestPrune:
         assert sel.kept.tolist() == [0, 1, 2, 3]
 
 
+class TestBadInput:
+    """Every public pass checks its tokens the way ``prune`` does."""
+
+    PASSES = {
+        "local_density": lambda x: local_density(x, DpcConfig()),
+        "delta_distance": lambda x: delta_distance(x, np.ones(len(x))),
+        "prune": lambda x: prune(x, DpcConfig()),
+    }
+
+    @pytest.mark.parametrize("name", PASSES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tokens_raise(self, name, bad):
+        x = np.random.default_rng(9).normal(size=(20, 3))
+        x[7, 1] = bad
+        with pytest.raises(NonFiniteTokens, match="finite"):
+            self.PASSES[name](x)
+
+    @pytest.mark.parametrize("name", PASSES)
+    @pytest.mark.parametrize("shape", [(0, 3), (4, 0), (5,), (2, 3, 4)])
+    def test_shapes_other_than_non_empty_n_by_c_raise(self, name, shape):
+        with pytest.raises(ValueError, match="non-empty NxC matrix"):
+            self.PASSES[name](np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_delta_rejects_non_finite_rho(self, bad):
+        x = np.random.default_rng(10).normal(size=(6, 2))
+        rho = np.full(6, 0.5)
+        rho[3] = bad
+        with pytest.raises(ValueError, match="rho must be finite"):
+            delta_distance(x, rho)
+
+    def test_delta_rejects_a_table_of_another_size(self):
+        x = np.random.default_rng(11).normal(size=(6, 2))
+        dist, idx = dpc._nearest(x, 2)
+        with pytest.raises(ValueError, match="nearest"):
+            delta_distance(x, np.ones(6), (dist[:5], idx[:5]))
+
+
+class TestNeighbourResolvedDelta:
+    """delta read from the density pass's table of each token's k nearest
+    others, with only the local peaks filtered, equals the definition."""
+
+    def test_denser_token_tied_with_the_kth_neighbour_but_off_the_list(self):
+        # coarse grids tie many distances; collect rows whose k-th listed
+        # distance is shared by a denser token the list left out
+        rng = np.random.default_rng(31)
+        hits = 0
+        for _ in range(60):
+            n, k = int(rng.integers(8, 40)), int(rng.integers(1, 4))
+            x = rng.integers(0, 4, size=(n, 2)).astype(float)
+            peaks, dist, idx, rank = local_peaks(x, k)
+            d2 = pairwise_sq_dist(x)
+            for i in peaks:
+                off_list = np.setdiff1d(np.flatnonzero(rank < rank[i]), idx[i])
+                hits += bool(np.any(d2[i, off_list] == dist[i, -1]))
+            assert_matches_oracle(x, DpcConfig(k=k, epsilon=3))
+        assert hits > 0
+
+    def test_more_duplicates_than_k_plus_one(self):
+        rng = np.random.default_rng(32)
+        x = np.concatenate([np.tile([[0.5, -1.0]], (12, 1)), rng.normal(size=(20, 2))])
+        x = x[rng.permutation(len(x))]
+        _, _, idx, _ = local_peaks(x, 5)
+        assert not np.any(idx == np.arange(len(x))[:, None])  # no token lists itself
+        assert_matches_oracle(x, DpcConfig(k=5, epsilon=4))
+
+    def test_every_row_a_peak_without_a_table(self):
+        # with a table the k least dense tokens always list a denser one, so
+        # a table-free call is the one in which every row is filtered; at
+        # k = 1, far-apart pairs make each pair's lower index a peak
+        x = np.array([[10.0 * p + b, 0.0] for p in range(8) for b in (0.0, 1.0)])
+        peaks = local_peaks(x, 1)[0]
+        assert peaks.tolist() == list(range(0, 16, 2))
+        assert_matches_oracle(x, DpcConfig(k=1, epsilon=2))
+        rng = np.random.default_rng(33)
+        for x in (x, rng.normal(size=(50, 3)), np.round(rng.normal(size=(60, 2)), 1)):
+            rho = local_density(x, DpcConfig(k=3))
+            with_table = delta_distance(x, rho, dpc._nearest(x, 3))
+            assert np.array_equal(delta_distance(x, rho), with_table)
+            assert np.array_equal(with_table, oracle_scores(x.tolist(), 3, float(x.shape[1]), 2)[1])
+
+    @pytest.mark.parametrize("k", [11, 12, 40])
+    def test_k_at_least_n(self, k):
+        x = np.round(np.random.default_rng(k).normal(size=(12, 2)), 1)
+        assert_matches_oracle(x, DpcConfig(k=k, epsilon=3))
+
+    def test_density_tie_broken_by_index(self):
+        # two far pairs: all four densities tie, the lower index ranks denser,
+        # so token 2's only listed neighbour (3) is not denser than it
+        for x in ([[0.0], [1.0], [10.0], [11.0]], [[11.0], [10.0], [1.0], [0.0]]):
+            x = np.array(x)
+            rho, delta, _, kept = oracle_scores(x.tolist(), 1, 1.0, 2)
+            assert len(set(rho)) == 1
+            assert local_peaks(x, 1)[0].tolist() == [0, 2]
+            scores, sel = prune(x, DpcConfig(k=1, epsilon=2))
+            assert np.array_equal(scores.rho, rho) and np.array_equal(scores.delta, delta)
+            assert scores.delta.tolist() == [11.0, 1.0, 9.0, 1.0]
+            assert sel.kept.tolist() == kept
+
+
 class TestSelect:
     def test_epsilon_one_skips_scoring(self, monkeypatch):
         def no_prune(*args):
@@ -267,6 +387,34 @@ class TestFilterAndRefine:
         assert np.array_equal(scores.rho, rho)
         assert np.array_equal(scores.delta, delta)
         assert np.array_equal(sel.kept, kept)
+
+    def test_delta_filters_only_the_peaks(self, monkeypatch):
+        # prune hands delta the density pass's neighbour table, so the delta
+        # filter's Gram product sees only the rows that table leaves
+        # unresolved, not all N - 1 rows a second full pass would send it
+        n = 3072
+        x = np.random.default_rng(30).normal(size=(n, 32))
+        rights, delta_rows = [], []
+        gram_filter, matmul = dpc._gram_filter, np.matmul
+
+        def filter_spy(tokens):
+            factors = gram_filter(tokens)
+            rights.append(factors[1])
+            return factors
+
+        def matmul_spy(a, b, *args, **kwargs):
+            if len(rights) == 2 and (b is rights[1] or b.base is rights[1]):
+                delta_rows.append(a.shape[0])
+            return matmul(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(dpc, "_gram_filter", filter_spy)
+        monkeypatch.setattr(np, "matmul", matmul_spy)
+        scores, _ = prune(x, DpcConfig(k=5, epsilon=6))
+        monkeypatch.undo()
+        assert len(rights) == 2
+        assert 0 < sum(delta_rows) < 0.15 * n
+        assert sum(delta_rows) == len(local_peaks(x, 5)[0]) - 1  # less the densest
+        assert np.array_equal(scores.delta, delta_distance(x, scores.rho))
 
     def test_all_identical_rows(self):
         x = np.tile(np.random.default_rng(22).normal(size=(1, 8)), (3072, 1))

@@ -187,6 +187,37 @@ class TestSoftmaxRows:
             assert np.allclose(s.sum(axis=1), 1.0, atol=1e-9)
 
 
+class TestSoftmaxInPlace:
+    """The softmax and its VJP write over arrays they made; no input changes."""
+
+    def test_softmax_rows_leaves_its_input(self):
+        x = np.random.default_rng(0).normal(size=(4, 6))
+        node = constant(x)
+        want = x.copy()
+        out = softmax_rows(node)
+        assert node.value is x and np.array_equal(x, want)
+        assert np.array_equal(out.value, softmax_rows(constant(want)).value)
+
+    def test_softmax_rows_vjp_leaves_the_incoming_gradient(self):
+        rng = np.random.default_rng(1)
+        out = softmax_rows(constant(rng.normal(size=(4, 6))))
+        g = rng.normal(size=(4, 6))
+        want = g.copy()
+        out._vjp(g)
+        assert np.array_equal(g, want)
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_attention_and_its_vjp_leave_their_inputs(self, heads):
+        rng = np.random.default_rng(heads)
+        q, k, v = rng.normal(size=(5, 8)), rng.normal(size=(7, 8)), rng.normal(size=(7, 8))
+        g = rng.normal(size=(5, 8))
+        want = [x.copy() for x in (q, k, v, g)]
+        out = attention(constant(q), constant(k), constant(v), heads)
+        out._vjp(g)
+        for x, w in zip((q, k, v, g), want):
+            assert np.array_equal(x, w)
+
+
 def upsample_oracle(x, factor):
     """Direct per-output-pixel interpolation, align-corners=false."""
     h, w, c = x.shape
