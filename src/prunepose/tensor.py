@@ -7,12 +7,15 @@ An affine layer is one node, because ``matmul`` takes the bias, and ``add``,
 ``sub`` and ``mul`` share one broadcasting op. The central-difference loop of
 every gradient check lives here too, and so does the one bilinear corner list:
 ``upsample_bilinear``'s forward, its VJP and ``synth``'s crops all read the
-same four (index, weight) corners.
+same four (index, weight) corners. ``attention`` runs its softmax and softmax
+VJP on tiles of ``ROW_TILE`` query rows, which stay in cache, while its
+products stay whole-array BLAS calls, so tiling changes no bit.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import threading
 import types
 from typing import Callable, Sequence
@@ -229,6 +232,9 @@ def mean_all(a: DiffNode) -> DiffNode:
     return DiffNode(out, (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
 
 
+ROW_TILE = 64  # query rows per tile in attention's softmax and its VJP
+
+
 def _softmax(x: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, stabilized by max subtraction, written
     over ``x``."""
@@ -271,6 +277,13 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
     ``q`` is (Nq, C) and ``k``, ``v`` are (Nk, C). Head h attends with columns
     h*d:(h+1)*d, d = C // heads, and writes the same columns of the (Nq, C)
     output. The backward pass keeps only the (heads, Nq, Nk) softmax.
+
+    The softmax and its VJP are passes over memory, so they run on tiles of
+    ``ROW_TILE`` query rows, (heads, ROW_TILE, Nk) slices that stay in cache,
+    and the VJP's (g * p) temporary is one tile. The products stay whole-array
+    calls, the same BLAS calls as untiled: a split by rows changes which
+    kernel BLAS picks for some shapes (a one-row tile goes to gemv), and so
+    changes bits.
     """
     qv, kv, vv = q.value, k.value, v.value
     if (qv.ndim != 2 or kv.ndim != 2 or kv.shape != vv.shape
@@ -282,17 +295,22 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
         raise ShapeError(f"width {c} not divisible by {heads} heads")
     d = c // heads
     qh, kh, vh = (_split_heads(x, heads) for x in (qv, kv, vv))
-    s = 1.0 / np.sqrt(d)
+    s = 1.0 / math.sqrt(d)  # a float, not a numpy scalar: cheaper at tiny sizes
     _record_macs(2 * heads * nq * nk * d)
-    logits = qh @ kh.transpose(0, 2, 1)
-    logits *= s
-    p = _softmax(logits)  # in place: the (heads, Nq, Nk) arrays are the big ones
+    tiles = [slice(lo, lo + ROW_TILE) for lo in range(0, nq, ROW_TILE)]
+    p = qh @ kh.transpose(0, 2, 1)
+    for r in tiles:
+        tile = p[:, r]
+        tile *= s
+        _softmax(tile)
     out = _merge_heads(p @ vh)
 
     def vjp(g):
         gh = _split_heads(g, heads)
-        g_logits = _softmax_vjp(p, gh @ vh.transpose(0, 2, 1))
-        g_logits *= s
+        g_logits = gh @ vh.transpose(0, 2, 1)
+        for r in tiles:
+            tile = _softmax_vjp(p[:, r], g_logits[:, r])
+            tile *= s
         return (_merge_heads(g_logits @ kh),
                 _merge_heads(g_logits.transpose(0, 2, 1) @ qh),
                 _merge_heads(p.transpose(0, 2, 1) @ gh))
@@ -471,9 +489,10 @@ def _central_diff(loss_at: Callable[[], DiffNode], named, grads, eps: float,
     of each (name, node) in ``named``, or its first ``max_coords``, and its
     ``"name[i]"``. ``grads`` holds each node's analytic gradient; each
     coordinate is moved by +-eps in place for two ``loss_at()`` calls, then
-    restored."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    restored. An eps outside (0, 1e-2] says nothing about the gradient, so it
+    raises ``ValueError``."""
+    if not 0.0 < eps <= 1e-2:
+        raise ValueError(f"eps must lie in (0, 1e-2], got {eps}")
     if max_coords is not None and max_coords < 1:
         raise ValueError(f"coordinates per parameter must be >= 1, got {max_coords}")
     worst, where = 0.0, None
@@ -502,8 +521,6 @@ def finite_diff_check(f: Callable[[DiffNode], DiffNode], x, eps: float = 1e-5) -
     Returns the max over coordinates of
     ``|analytic - central| / max(1, |central|)``.
     """
-    if not (0.0 < eps <= 1e-2):
-        raise ValueError(f"eps must lie in (0, 1e-2], got {eps}")
     leaf = DiffNode(np.array(x, dtype=np.float64))
     out = f(leaf)
     if out.value.size != 1:

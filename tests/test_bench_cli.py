@@ -314,6 +314,8 @@ class TestCli:
         ["gradcheck", "--tol", "-1"],
         ["gradcheck", "--tol", "0"],
         ["gradcheck", "--tol", "nan"],
+        ["gradcheck", "--eps", "1e9", "--max-coords", "1"],
+        ["gradcheck", "--eps", "0.5", "--max-coords", "1"],
     ])
     def test_bad_flag_value_exits_2(self, argv, capsys):
         assert run(argv) == 2

@@ -1,10 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from prunepose.tensor import (
+    ROW_TILE,
     DiffNode,
     ShapeError,
     _central_diff,
+    _merge_heads,
+    _softmax,
+    _softmax_vjp,
+    _split_heads,
     add,
     attention,
     backward,
@@ -209,13 +216,14 @@ class TestSoftmaxInPlace:
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_attention_and_its_vjp_leave_their_inputs(self, heads):
         rng = np.random.default_rng(heads)
-        q, k, v = rng.normal(size=(5, 8)), rng.normal(size=(7, 8)), rng.normal(size=(7, 8))
-        g = rng.normal(size=(5, 8))
-        want = [x.copy() for x in (q, k, v, g)]
-        out = attention(constant(q), constant(k), constant(v), heads)
-        out._vjp(g)
-        for x, w in zip((q, k, v, g), want):
-            assert np.array_equal(x, w)
+        for nq in (5, 2 * ROW_TILE + 3):  # one row tile, then three
+            q, k, v = rng.normal(size=(nq, 8)), rng.normal(size=(7, 8)), rng.normal(size=(7, 8))
+            g = rng.normal(size=(nq, 8))
+            want = [x.copy() for x in (q, k, v, g)]
+            out = attention(constant(q), constant(k), constant(v), heads)
+            out._vjp(g)
+            for x, w in zip((q, k, v, g), want):
+                assert np.array_equal(x, w)
 
 
 def upsample_oracle(x, factor):
@@ -392,6 +400,12 @@ class TestFiniteDiffCheck:
         with pytest.raises(ValueError):
             finite_diff_check(sum_all, np.zeros((2, 2)), eps=0.5)
 
+    @pytest.mark.parametrize("eps", [0.0, -1e-5, 0.5, 1e9, float("nan")])
+    def test_central_diff_rejects_eps_outside_its_range(self, eps):
+        x = constant(np.zeros(2))
+        with pytest.raises(ValueError, match=r"\(0, 1e-2\]"):
+            _central_diff(lambda: sum_all(x), [("x", x)], [np.ones(2)], eps)
+
     @pytest.mark.parametrize("name,f", [
         ("softmax", lambda x: sum_all(mul(softmax_rows(x), constant(np.arange(12.0).reshape(3, 4))))),
         ("gelu", lambda x: sum_all(gelu(x))),
@@ -435,6 +449,26 @@ def per_head_attention(q, k, v, heads):
     return np.concatenate(outs, axis=1)
 
 
+def whole_array_attention(q, k, v, heads):
+    """The fused op before its softmax ran on row tiles: every pass over the
+    whole (heads, Nq, Nk) array. Returns the output and the VJP."""
+    qh, kh, vh = (_split_heads(x, heads) for x in (q, k, v))
+    s = 1.0 / np.sqrt(q.shape[1] // heads)
+    logits = qh @ kh.transpose(0, 2, 1)
+    logits *= s
+    p = _softmax(logits)
+
+    def vjp(g):
+        gh = _split_heads(g, heads)
+        g_logits = _softmax_vjp(p, gh @ vh.transpose(0, 2, 1))
+        g_logits *= s
+        return (_merge_heads(g_logits @ kh),
+                _merge_heads(g_logits.transpose(0, 2, 1) @ qh),
+                _merge_heads(p.transpose(0, 2, 1) @ gh))
+
+    return _merge_heads(p @ vh), vjp
+
+
 class TestAttention:
     NQ, NK, C = 5, 7, 8
 
@@ -448,6 +482,36 @@ class TestAttention:
         q, k, v = self._qkv(heads)
         out = attention(constant(q), constant(k), constant(v), heads).value
         assert np.array_equal(out, per_head_attention(q, k, v, heads))
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("nk", [1, 7, 192])
+    @pytest.mark.parametrize("nq", [1, ROW_TILE - 1, ROW_TILE, ROW_TILE + 1, 2 * ROW_TILE + 3])
+    def test_row_tiles_match_the_whole_array_op_bit_for_bit(self, nq, nk, heads):
+        rng = np.random.default_rng(nq * 1000 + nk * 10 + heads)
+        q, g = rng.normal(size=(nq, 32)), rng.normal(size=(nq, 32))
+        k, v = rng.normal(size=(nk, 32)), rng.normal(size=(nk, 32))
+        node = attention(constant(q), constant(k), constant(v), heads)
+        grads = node._vjp(g)
+        want, want_vjp = whole_array_attention(q, k, v, heads)
+        assert np.array_equal(node.value, want)
+        for got, ref in zip(grads, want_vjp(g)):
+            assert np.array_equal(got, ref)
+
+    def test_vjp_peak_memory_stays_near_two_score_arrays(self):
+        # the softmax p lives on; the VJP adds one (heads, Nq, Nk) gradient
+        # and tile-sized temporaries, not a second full-size (g * p)
+        n, heads = 768, 4
+        rng = np.random.default_rng(0)
+        q, k, v, g = (rng.normal(size=(n, 32)) for _ in range(4))
+        tracemalloc.start()
+        try:
+            node = attention(constant(q), constant(k), constant(v), heads)
+            tracemalloc.reset_peak()
+            node._vjp(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * heads * n * n * 8
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("wrt", [0, 1, 2])
