@@ -20,18 +20,21 @@ list's last. Only the local peaks left over (about 9% of the hr tokens) are
 searched against all their denser tokens. Neither search forms the N x N
 distance matrix. Both filter, then refine, in blocks of ``ROW_CHUNK`` rows:
 
-- filter: one BLAS product gives every pair ``|x_j|^2 - 2 x_i.x_j``, the
-  squared distance less a per-row constant. Its error against the exact
+- filter: one float32 BLAS product, on the tokens scaled by a power of two,
+  gives every pair ``|x_j|^2 - 2 x_i.x_j``, the squared distance less a
+  per-row constant, in the scaled units. Its error against the float64 exact
   distance has a worst-case bound B (``_gram_filter``) that holds for any
   summation order, thread count or FMA use. Every column within 2B of the
   row's (k+1)-th smallest value (density), or of a peak's smallest over its
   denser tokens (delta), is a candidate; no exact neighbour can fall outside.
+  Float32 halves the bytes each block pass reads, and the filter's precision
+  only sets how many candidates the refine step scores.
 - refine: the exact kernel scores the candidates only. A block whose
   candidates would cost more than the block itself (huge common offsets,
   identical rows) is refined densely, still one block at a time.
 
-The filter only decides which pairs the exact kernel sees, so the scores do
-not depend on the BLAS library or its settings.
+The filter only decides which pairs the exact kernel sees, so the scores are
+float64 throughout and do not depend on the BLAS library or its settings.
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ __all__ = [
 ]
 
 ROW_CHUNK = 256  # rows per block in the density and delta passes
-_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
-_SMALLEST_SUBNORMAL = np.finfo(np.float64).smallest_subnormal
+_U32 = 2.0 ** -24  # float32 unit roundoff
+_TINY32 = 2.0 ** -126  # smallest normal float32
 
 
 class NonFiniteTokens(ValueError):
@@ -120,37 +123,64 @@ def pairwise_sq_dist(tokens: np.ndarray) -> np.ndarray:
 
 
 def _gram_filter(x: np.ndarray):
-    """Factors of the Gram filter and its worst-case rounding bound.
+    """Float32 factors of the Gram filter, their worst-case rounding bound, and
+    the exponent e of their scale.
 
-    ``left[i] @ right[:, j]`` is ``P_ij = |x_j|^2 - 2 x_i.x_j``, the squared
-    distance less the row constant ``|x_i|^2``, from one BLAS product. With
-    u = 2^-53, g = (C+2)u / (1-(C+2)u) and M = max |x_j|^2 (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, section 3.1):
+    The tokens are scaled by 2^-e, which brings the largest coordinate into
+    [1/2, 1), and cast to float32. In the scaled units a_i = 2^-e x_i, every
+    |a_it| < 1 and M = max |a_j|^2 < C. ``left[i] @ right[:, j]`` is
+    ``P_ij = |a_j|^2 - 2 a_i.a_j = 2^-2e (d_ij - |x_i|^2)``, for the squared
+    distance d_ij, from one sgemm. With u = 2^-24,
+    g = (C+1)u / (1-(C+1)u), g' = (C+2)2^-53 / (1-(C+2)2^-53) and
+    eta = 2^-126, the smallest normal float32, which also covers a BLAS that
+    flushes subnormals to zero (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2002, section 3.1):
 
-    - the C-term norms on ``right``'s last row are off by at most g*M;
-    - the (C+1)-term product is off by at most g * (2M + M(1+g)): the
-      inner-product bound holds for any summation order, blocking, thread
-      count or FMA use, so for any BLAS;
-    - the exact kernel's C differences, squares and sums are off by at most
-      g * (|x_i| + |x_j|)^2 <= 4gM.
+    - the cast: each float32 coordinate a'_it is off by at most
+      u|a_it| + eta, and the norm q_j on ``right``'s last row, summed in
+      float64 and rounded once, by at most 2u|a_j|^2 + eta. So the exact
+      q_j - 2 a'_i.a'_j is off by at most (6u + 2u^2)M + (6C+1)eta;
+    - the (C+1)-term sgemm is off by at most g(q_j + 2|a'_i||a'_j|) +
+      (C+1)eta <= 3(1+u)^2 gM + (5C+3)eta, whatever the summation order,
+      blocking, thread count or FMA use, so for any BLAS;
+    - the float64 exact kernel's C differences, squares and sums are off by at
+      most g'(|x_i| + |x_j|)^2, plus C 2^-1075 for squares that underflow; in
+      the scaled units that is at most 4g'M + C 2^(-1074-2e).
 
-    So |P_ij - (e_ij - |x_i|^2)| <= (8 + g)gM for the exact e_ij. ``bound``
-    is 9gM: the spare gM covers M's own rounding and that of adding 2*bound
-    to a P value (|P| <= 3M). ``4 (C+2) 2^-1074`` covers the absolute error of
-    products that underflow. A non-finite bound (squares that overflow, or
-    non-finite tokens) disables the filter.
+    For C < 2^22 these sum to less than (6u + 4g)M + 12(C+1)eta +
+    C 2^(-1074-2e). ``bound`` adds uM, which covers the float64 rounding of M,
+    of the bound itself and of adding 2*bound to a P value (|P| < 4M); the
+    callers round that sum up to float32 (``_limit``). The bound is infinite,
+    and the filter off, where squares come within 2^4 of overflowing (the
+    exact kernel's sums could overflow), and where the underflow term exceeds
+    M: the largest coordinate is below about 2^-536, and the exact squares
+    are a few subnormal steps at most.
     """
     n, c = x.shape
-    sq = np.einsum("ij,ij->i", x, x)
-    left = np.empty((n, c + 1))
-    left[:, :c] = x
+    e = math.frexp(float(np.abs(x).max()))[1]
+    a = np.ldexp(x, -e)  # exact unless subnormal
+    sq = np.einsum("ij,ij->i", a, a)
+    left = np.empty((n, c + 1), dtype=np.float32)
+    left[:, :c] = a
     left[:, c] = 1.0
-    right = np.empty((c + 1, n))
-    right[:c] = -2.0 * x.T
+    right = np.empty((c + 1, n), dtype=np.float32)
+    right[:c] = -2.0 * left[:, :c].T  # exact
     right[c] = sq
-    g = (c + 2) * _UNIT_ROUNDOFF / (1.0 - (c + 2) * _UNIT_ROUNDOFF)
-    bound = 9.0 * g * sq.max() + 4 * (c + 2) * _SMALLEST_SUBNORMAL
-    return left, right, bound
+    m = float(sq.max())
+    g = (c + 1) * _U32 / (1.0 - (c + 1) * _U32)
+    tail = math.ldexp(c, -1074 - 2 * e) if e > -600 else math.inf
+    bound = (7 * _U32 + 4 * g) * m + 12 * (c + 1) * _TINY32 + tail
+    if tail > m or 2 * e + math.frexp(m)[1] > 1020:
+        bound = math.inf
+    return left, right, bound, e
+
+
+def _limit(best: np.ndarray, bound: float) -> np.ndarray:
+    """``best + 2*bound`` in float64, rounded up to float32, so comparing
+    float32 P values with it never drops a column that float64 would keep."""
+    lim = best.astype(np.float64) + 2.0 * bound
+    up = lim.astype(np.float32)
+    return np.where(up < lim, np.nextafter(up, np.float32(np.inf)), up)
 
 
 def _refine(a: np.ndarray, b: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,13 +227,13 @@ def _nearest(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     idx = np.empty((n, k_eff), dtype=np.intp)
     if k_eff == 0:
         return dist, idx
-    left, right, bound = _gram_filter(x)
-    filtered = np.isfinite(bound)
-    buf = np.empty(min(n, ROW_CHUNK) * n)
+    left, right, bound, _ = _gram_filter(x)
+    filtered = math.isfinite(bound)
+    buf = np.empty(min(n, ROW_CHUNK) * n, dtype=np.float32)
     # columns j mod ``groups`` form k_eff+1 or more disjoint groups, so the
     # (k_eff+1)-th smallest group minimum bounds the row's (k_eff+1)-th
     # smallest P from above, at a fraction of a full partition's cost
-    groups = min(n, max(64, k_eff + 1))
+    groups = min(n, max(256, k_eff + 1))
     grouped = n // groups * groups
     for lo in range(0, n, ROW_CHUNK):
         hi = min(n, lo + ROW_CHUNK)
@@ -212,7 +242,7 @@ def _nearest(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
             # a row's k_eff+1 exact nearest, self included, lie within 2*bound
             # of its (k_eff+1)-th smallest P
             mins = p[:, :grouped].reshape(hi - lo, -1, groups).min(axis=1)
-            limit = np.partition(mins, k_eff, axis=1)[:, k_eff] + 2.0 * bound
+            limit = _limit(np.partition(mins, k_eff, axis=1)[:, k_eff], bound)
             cand = p <= limit[:, None]
         else:
             cand = np.ones((hi - lo, n), dtype=bool)
@@ -274,9 +304,9 @@ def delta_distance(tokens: np.ndarray, rho: np.ndarray,
         nearest_d2[rank[resolved]] = first[resolved]
         peaks = np.sort(rank[~resolved])[1:]  # rank 0, the densest, has no denser token
     xo = x[order]  # in rank order a token's denser tokens are the rows before it
-    left, right, bound = _gram_filter(xo)
-    filtered = np.isfinite(bound)
-    buf = np.empty(min(n, ROW_CHUNK) * n)
+    left, right, bound, _ = _gram_filter(xo)
+    filtered = math.isfinite(bound)
+    buf = np.empty(min(n, ROW_CHUNK) * n, dtype=np.float32)
     later = np.triu(np.ones((ROW_CHUNK, ROW_CHUNK), dtype=bool))  # in-block, not denser
     nearest_d2[0] = _exact_sq(xo[0], xo).max()
     for lo in range(1, n, ROW_CHUNK):
@@ -289,7 +319,7 @@ def delta_distance(tokens: np.ndarray, rho: np.ndarray,
             p = np.matmul(left[rows], right[:, :hi], out=buf[:rows.size * hi].reshape(rows.size, hi))
             p[:, lo:hi][not_denser] = np.inf
             # the exact nearest denser token lies within 2*bound of the smallest P
-            cand = p <= (p.min(axis=1) + 2.0 * bound)[:, None]
+            cand = p <= _limit(p.min(axis=1), bound)[:, None]
         else:
             cand = np.ones((rows.size, hi), dtype=bool)
             cand[:, lo:hi][not_denser] = False

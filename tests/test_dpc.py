@@ -59,6 +59,21 @@ def local_peaks(x, k):
     return np.flatnonzero(~(rank[idx] < rank[:, None]).any(axis=1)), dist, idx, rank
 
 
+def spy_exact_sq(monkeypatch):
+    """The output shapes of every ``_exact_sq`` call from here on: 1-D for a
+    shortlist, 2-D for a densely refined block."""
+    shapes = []
+    exact = dpc._exact_sq
+
+    def spy(a, b):
+        out = exact(a, b)
+        shapes.append(out.shape)
+        return out
+
+    monkeypatch.setattr(dpc, "_exact_sq", spy)
+    return shapes
+
+
 def assert_matches_dense_reference(x, cfg):
     scores, sel = prune(x, cfg)
     rho, delta, kept = dense_reference(x, cfg.k, cfg.resolved_tau(x.shape[1]), cfg.epsilon)
@@ -352,10 +367,30 @@ class TestFilterAndRefine:
         assert_matches_dense_reference(x, DpcConfig(k=5, epsilon=6))
 
     def test_near_cancellation_with_short_lists(self):
-        # P's rounding reorders close neighbours here, yet the shortlists stay
-        # sparse: only the 2*bound margin keeps the exact nearest in them
+        # at an offset of 1e3 the float32 filter's bound exceeds every gap
+        # between distances, so each block is refined densely; the scores
+        # must still equal the dense computation
         x = 1e3 + 1e-3 * np.random.default_rng(5).normal(size=(1024, 16))
         assert_matches_dense_reference(x, DpcConfig(k=5, epsilon=6))
+
+    def test_float32_rounding_reorders_neighbours_in_short_lists(self, monkeypatch):
+        # tight clusters of 8 far apart: within a cluster the distances differ
+        # by about one float32 ulp of P, so P's rounding reorders close
+        # neighbours, yet each shortlist holds little more than its cluster;
+        # only the 2*bound margin keeps the exact nearest in it
+        rng = np.random.default_rng(7)
+        n, c, k = 1024, 16, 5
+        x = np.repeat(rng.normal(size=(n // 8, c)), 8, axis=0) + 1e-3 * rng.normal(size=(n, c))
+        left, right, _, _ = dpc._gram_filter(x)
+        p = left @ right
+        d2 = pairwise_sq_dist(x)
+        nearest = np.argsort(d2, axis=1, kind="stable")[:, :k + 2]
+        reordered = (np.diff(np.take_along_axis(p, nearest, axis=1), axis=1) < 0).any(axis=1)
+        assert reordered.sum() > n // 4
+        shapes = spy_exact_sq(monkeypatch)
+        assert_matches_dense_reference(x, DpcConfig(k=k, epsilon=6))
+        assert all(len(s) == 1 for s in shapes)  # no dense block
+        assert sum(s[0] for s in shapes) <= 2 * (k + 1) * n
 
     def test_cancellation_falls_back_to_dense_blocks_in_bounded_memory(self, monkeypatch):
         # offsets of 1e3 make the bound exceed every gap between distances,
@@ -363,18 +398,10 @@ class TestFilterAndRefine:
         rng = np.random.default_rng(21)
         n, c = 3072, 32
         x = 1e3 + 1e-4 * rng.normal(size=(n, c))
-        _, _, bound = dpc._gram_filter(x)
+        _, _, bound, e = dpc._gram_filter(x)
         gaps = np.diff(np.sort(pairwise_sq_dist(x[:64])[0]))
-        assert 2 * bound > gaps.max()
-        shapes = []
-        exact = dpc._exact_sq
-
-        def spy(a, b):
-            out = exact(a, b)
-            shapes.append(out.shape)
-            return out
-
-        monkeypatch.setattr(dpc, "_exact_sq", spy)
+        assert 2 * bound > math.ldexp(gaps.max(), -2 * e)  # in the filter's units
+        shapes = spy_exact_sq(monkeypatch)
         tracemalloc.start()
         try:
             scores, sel = prune(x, DpcConfig(k=5, epsilon=6))
@@ -436,6 +463,25 @@ class TestFilterAndRefine:
         assert np.array_equal(scores.delta, delta)
         assert np.array_equal(sel.kept, kept)
 
+    def test_underflowing_squares_skip_the_filter(self):
+        # below about 2^-536 the exact kernel's squares are subnormal dust, its
+        # underflow term exceeds every scaled distance and the filter is off
+        x = 2.0 ** -540 * np.random.default_rng(4).normal(size=(300, 4))
+        assert not np.isfinite(dpc._gram_filter(x)[2])
+        assert np.isfinite(dpc._gram_filter(2.0 ** 500 * x)[2])
+        assert_matches_dense_reference(x, DpcConfig(k=3, epsilon=6))
+
+    def test_limit_rounds_up_to_float32(self):
+        # a float32 compare against a limit rounded to nearest could drop a
+        # column whose float64 P lies just below the float64 limit
+        best = np.random.default_rng(12).normal(size=1000).astype(np.float32)
+        for bound in (1e-9, 1e-7, 3e-6, 0.0):
+            want = best.astype(np.float64) + 2.0 * bound
+            lim = dpc._limit(best, bound)
+            assert lim.dtype == np.float32
+            assert np.all(lim >= want)
+            assert np.all(np.nextafter(lim, np.float32(-np.inf)) < want)  # the least such float32
+
     @pytest.mark.parametrize("n,c,k", [(1, 1, 5), (1, 4, 1), (2, 1, 1), (2, 3, 5),
                                        (5, 1, 5), (6, 1, 9), (40, 1, 3)])
     def test_edge_sizes_match_oracle(self, n, c, k):
@@ -447,8 +493,10 @@ class TestFilterAndRefine:
         assert sel.kept.tolist() == kept_o
 
     @pytest.mark.parametrize("case", ["normal", "offset", "mixed_scale", "tiny", "huge",
-                                      "duplicates", "one_column", "wide"])
+                                      "duplicates", "one_column", "wide",
+                                      "1e30", "1e-30", "1e40", "1e-40"])
     def test_filter_error_within_bound(self, case):
+        # the last four would underflow or overflow in float32 unless scaled
         rng = np.random.default_rng(sum(map(ord, case)))
         x = {
             "normal": lambda: rng.normal(size=(40, 8)),
@@ -459,15 +507,57 @@ class TestFilterAndRefine:
             "duplicates": lambda: np.repeat(rng.normal(size=(10, 8)), 4, axis=0),
             "one_column": lambda: rng.normal(size=(40, 1)),
             "wide": lambda: rng.normal(size=(20, 96)),
+            "1e30": lambda: 1e30 * rng.normal(size=(40, 8)),
+            "1e-30": lambda: 1e-30 * rng.normal(size=(40, 8)),
+            "1e40": lambda: 1e40 * rng.normal(size=(40, 8)),
+            "1e-40": lambda: 1e-40 * rng.normal(size=(40, 8)),
         }[case]()
-        left, right, bound = dpc._gram_filter(x)
+        left, right, bound, e = dpc._gram_filter(x)
+        assert left.dtype == right.dtype == np.float32 and math.isfinite(bound)
         p = left @ right
-        e = pairwise_sq_dist(x)
+        d2 = pairwise_sq_dist(x)
         bound = Fraction(bound)
+        scale = Fraction(2) ** (-2 * e)  # P is in units of 2^-2e times a squared distance
         for i in range(x.shape[0]):
             norm = sum(Fraction(v) ** 2 for v in x[i].tolist())  # |x_i|^2 exactly
             for j in range(x.shape[0]):
-                assert abs(Fraction(p[i, j]) - (Fraction(e[i, j]) - norm)) <= bound
+                assert abs(Fraction(float(p[i, j])) - scale * (Fraction(d2[i, j]) - norm)) <= bound
+
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_shortlists_stay_short_at_the_hr_size(self, monkeypatch, duplicates):
+        # a bound made needlessly loose would shortlist more columns, and
+        # lose the filter's gain, while every score stayed right
+        rng = np.random.default_rng(40)
+        n, c, k = 3072, 32, 5
+        x = rng.normal(size=(n, c))
+        if duplicates:
+            x[rng.integers(0, n, size=n // 4)] = x[rng.integers(0, n, size=n // 4)]
+        shapes = spy_exact_sq(monkeypatch)
+        prune(x, DpcConfig(k=k, epsilon=6))
+        assert all(len(s) == 1 for s in shapes)  # no dense block
+        assert sum(s[0] for s in shapes) <= 2 * (k + 1) * n
+
+    @pytest.mark.parametrize("name", ["prune", "local_density", "delta_distance"])
+    def test_exact_kernel_sees_only_float64(self, monkeypatch, name):
+        # the filter runs in float32; no score may
+        x = np.random.default_rng(41).normal(size=(600, 8))
+        x[300:] = x[300]  # identical rows shortlist each other: dense blocks
+        cfg = DpcConfig(k=5, epsilon=6)
+        rho = local_density(x, cfg)
+        run = {"prune": lambda: prune(x, cfg), "local_density": lambda: local_density(x, cfg),
+               "delta_distance": lambda: delta_distance(x, rho)}[name]
+        calls = []
+        exact = dpc._exact_sq
+
+        def spy(a, b):
+            out = exact(a, b)
+            calls.append((a.dtype, b.dtype, out.ndim))
+            return out
+
+        monkeypatch.setattr(dpc, "_exact_sq", spy)
+        run()
+        assert {ndim for _, _, ndim in calls} == {1, 2}  # shortlists and dense blocks
+        assert all(a == np.float64 and b == np.float64 for a, b, _ in calls)
 
 
 class TestInvariances:
