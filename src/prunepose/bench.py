@@ -27,7 +27,6 @@ from .model import (
     forward_full,
     init_model_params,
     patch_embed_backbone,
-    train_step,
 )
 from .attention import spatio_temporal_block, transformer_block
 from .synth import DEFAULT_PARENTS, SynthScene, make_triplet_sample
@@ -140,6 +139,21 @@ def run_bench(bench: BenchConfig) -> dict:
     return _report("bench", dataclasses.asdict(bench), variants=results)
 
 
+def _train(samples, cfg: ModelConfig, params: ModelParams, steps: int, lr: float) -> list:
+    """``steps`` descent steps of ``params`` on ``samples``, in place: the loss
+    before each step, then the final loss. A TrainingError names its step;
+    the final evaluation is step ``steps``."""
+    curve, step = [], 0
+    try:
+        for step in range(steps):
+            curve.append(_descend(samples, cfg, params, lr))
+        step = steps
+        curve.append(float(_mean_loss(samples, cfg, params).value))
+    except TrainingError as e:
+        raise TrainingError(f"{e} at step {step}") from e
+    return curve
+
+
 def run_train_smoke(cfg: ModelConfig, steps: int = 200, lr: float = 0.03,
                     seed: int = 0, batch: int = 2) -> dict:
     """Gradient-descend the whole model on a fixed synthetic batch.
@@ -152,18 +166,11 @@ def run_train_smoke(cfg: ModelConfig, steps: int = 200, lr: float = 0.03,
     image_size = (max(64, cfg.image_size[0]), max(64, cfg.image_size[1]))
     samples = [_sample(cfg, seed + 1000 * b, image_size=image_size) for b in range(batch)]
 
-    curve = []
-    for step in range(steps):
-        try:
-            curve.append(_descend(samples, cfg, params, lr))
-        except TrainingError as e:
-            raise TrainingError(f"{e} at step {step}") from e
-    final = float(_mean_loss(samples, cfg, params).value)
-    curve.append(final)
+    curve = _train(samples, cfg, params, steps, lr)
     return _report("train-smoke", {"model": dataclasses.asdict(cfg), "steps": steps,
                                    "lr": lr, "seed": seed, "batch": batch},
-                   initial_loss=curve[0], final_loss=final,
-                   passed=final <= 0.5 * curve[0], curve=curve)
+                   initial_loss=curve[0], final_loss=curve[-1],
+                   passed=curve[-1] <= 0.5 * curve[0], curve=curve)
 
 
 def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
@@ -190,9 +197,7 @@ def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
             cell = {"eps_hrb": eps_hrb, "eps_lrb": eps_lrb}
             try:
                 params = init_model_params(cell_cfg, seed)
-                for _ in range(train_steps):
-                    train_step(triplet, target, cell_cfg, params, lr)
-                loss = float(_mean_loss([(triplet, target)], cell_cfg, params).value)
+                loss = _train([(triplet, target)], cell_cfg, params, train_steps, lr)[-1]
                 timing = _time_variant(lambda: forward_full(triplet, cell_cfg, params),
                                        warmup=1, iters=iters)
                 cell.update(final_loss=loss, macs=timing["macs"],

@@ -31,7 +31,8 @@ distance matrix. Both filter, then refine, in blocks of ``ROW_CHUNK`` rows:
   only sets how many candidates the refine step scores.
 - refine: the exact kernel scores the candidates only. A block whose
   candidates would cost more than the block itself (huge common offsets,
-  identical rows) is refined densely, still one block at a time.
+  identical rows, or an infinite bound, whose limit saturates so that every
+  column is a candidate) is refined densely, still one block at a time.
 
 The filter only decides which pairs the exact kernel sees, so the scores are
 float64 throughout and do not depend on the BLAS library or its settings.
@@ -40,6 +41,7 @@ float64 throughout and do not depend on the BLAS library or its settings.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,10 +61,17 @@ __all__ = [
 ROW_CHUNK = 256  # rows per block in the density and delta passes
 _U32 = 2.0 ** -24  # float32 unit roundoff
 _TINY32 = 2.0 ** -126  # smallest normal float32
+_MAX32 = np.finfo(np.float32).max  # largest float32
 
 
 class NonFiniteTokens(ValueError):
     """A scoring pass was given NaN or infinite tokens."""
+
+
+def _check_int(name: str, value, low: int):
+    """Raise ValueError unless ``value`` is an integer, not a bool, >= ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -74,12 +83,11 @@ class DpcConfig:
     epsilon: int = 6
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError(f"tau must be positive, got {self.tau}")
-        if self.epsilon < 1:
-            raise ValueError(f"epsilon must be >= 1, got {self.epsilon}")
+        _check_int("k", self.k, 1)
+        _check_int("epsilon", self.epsilon, 1)
+        if self.tau is not None and not (isinstance(self.tau, numbers.Real)
+                                         and math.isfinite(self.tau) and self.tau > 0):
+            raise ValueError(f"tau must be None or finite and > 0, got {self.tau!r}")
 
     def resolved_tau(self, dim: int) -> float:
         return float(self.tau) if self.tau is not None else float(dim)
@@ -97,7 +105,6 @@ class PruneSelection:
     """Kept token indices, ascending, of length max(1, N // epsilon)."""
 
     kept: np.ndarray
-    epsilon: int
 
 
 def _exact_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -150,11 +157,12 @@ def _gram_filter(x: np.ndarray):
     For C < 2^22 these sum to less than (6u + 4g)M + 12(C+1)eta +
     C 2^(-1074-2e). ``bound`` adds uM, which covers the float64 rounding of M,
     of the bound itself and of adding 2*bound to a P value (|P| < 4M); the
-    callers round that sum up to float32 (``_limit``). The bound is infinite,
-    and the filter off, where squares come within 2^4 of overflowing (the
-    exact kernel's sums could overflow), and where the underflow term exceeds
-    M: the largest coordinate is below about 2^-536, and the exact squares
-    are a few subnormal steps at most.
+    callers round that sum up to float32 (``_limit``). The bound is infinite
+    where squares come within 2^4 of overflowing (the exact kernel's sums
+    could overflow), and where the underflow term exceeds M: the largest
+    coordinate is below about 2^-536, and the exact squares are a few
+    subnormal steps at most. The limit then saturates, and the blocks are
+    refined densely.
     """
     n, c = x.shape
     e = math.frexp(float(np.abs(x).max()))[1]
@@ -177,10 +185,12 @@ def _gram_filter(x: np.ndarray):
 
 def _limit(best: np.ndarray, bound: float) -> np.ndarray:
     """``best + 2*bound`` in float64, rounded up to float32, so comparing
-    float32 P values with it never drops a column that float64 would keep."""
-    lim = best.astype(np.float64) + 2.0 * bound
+    float32 P values with it never drops a column that float64 would keep.
+    It saturates at the largest float32, which every finite P passes and a
+    masked (+inf) column does not."""
+    lim = np.minimum(best.astype(np.float64) + 2.0 * bound, _MAX32)
     up = lim.astype(np.float32)
-    return np.where(up < lim, np.nextafter(up, np.float32(np.inf)), up)
+    return np.where(up < lim, np.nextafter(up, _MAX32), up)
 
 
 def _refine(a: np.ndarray, b: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -228,7 +238,6 @@ def _nearest(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if k_eff == 0:
         return dist, idx
     left, right, bound, _ = _gram_filter(x)
-    filtered = math.isfinite(bound)
     buf = np.empty(min(n, ROW_CHUNK) * n, dtype=np.float32)
     # columns j mod ``groups`` form k_eff+1 or more disjoint groups, so the
     # (k_eff+1)-th smallest group minimum bounds the row's (k_eff+1)-th
@@ -237,15 +246,12 @@ def _nearest(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     grouped = n // groups * groups
     for lo in range(0, n, ROW_CHUNK):
         hi = min(n, lo + ROW_CHUNK)
-        if filtered:
-            p = np.matmul(left[lo:hi], right, out=buf[:(hi - lo) * n].reshape(hi - lo, n))
-            # a row's k_eff+1 exact nearest, self included, lie within 2*bound
-            # of its (k_eff+1)-th smallest P
-            mins = p[:, :grouped].reshape(hi - lo, -1, groups).min(axis=1)
-            limit = _limit(np.partition(mins, k_eff, axis=1)[:, k_eff], bound)
-            cand = p <= limit[:, None]
-        else:
-            cand = np.ones((hi - lo, n), dtype=bool)
+        p = np.matmul(left[lo:hi], right, out=buf[:(hi - lo) * n].reshape(hi - lo, n))
+        # a row's k_eff+1 exact nearest, self included, lie within 2*bound
+        # of its (k_eff+1)-th smallest P
+        mins = p[:, :grouped].reshape(hi - lo, -1, groups).min(axis=1)
+        limit = _limit(np.partition(mins, k_eff, axis=1)[:, k_eff], bound)
+        cand = p <= limit[:, None]
         cand[np.arange(hi - lo), np.arange(lo, hi)] = False  # a token is not its own neighbour
         d2, cols = _refine(x[lo:hi], x, cand)
         top = np.argpartition(d2, k_eff - 1, axis=1)[:, :k_eff]
@@ -280,7 +286,8 @@ def delta_distance(tokens: np.ndarray, rho: np.ndarray,
     sorted distances and indices. A token with a denser token on its list
     takes the nearest such one's distance: every token off the list lies at
     least as far away as the list's last. Only the rest, the local peaks, are
-    filtered against all their denser tokens; without a table, every token is.
+    filtered against all their denser tokens. Without a table, one is built
+    from each token's nearest other token.
     """
     x = _tokens(tokens)
     n = x.shape[0]
@@ -292,20 +299,15 @@ def delta_distance(tokens: np.ndarray, rho: np.ndarray,
     order = np.lexsort((np.arange(n), -rho))  # densest first, index tie-break
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    nearest_d2 = np.empty(n)  # by rank
-    peaks = np.arange(1, n)  # ranks left to the filter
-    if nearest is not None:
-        dist, idx = nearest
-        if dist.shape != idx.shape or dist.shape[0] != n:
-            raise ValueError(f"nearest must hold two ({n}, k) arrays, got {dist.shape} and {idx.shape}")
-        denser = rank[idx] < rank[:, None]
-        resolved = denser.any(axis=1)
-        first = np.where(denser, dist, np.inf).min(axis=1, initial=np.inf)
-        nearest_d2[rank[resolved]] = first[resolved]
-        peaks = np.sort(rank[~resolved])[1:]  # rank 0, the densest, has no denser token
+    dist, idx = _nearest(x, 1) if nearest is None else nearest
+    if dist.shape != idx.shape or dist.shape[0] != n:
+        raise ValueError(f"nearest must hold two ({n}, k) arrays, got {dist.shape} and {idx.shape}")
+    denser = rank[idx] < rank[:, None]
+    nearest_d2 = np.empty(n)  # by rank; the densest and the peaks are set below
+    nearest_d2[rank] = np.where(denser, dist, np.inf).min(axis=1, initial=np.inf)
+    peaks = np.sort(rank[~denser.any(axis=1)])[1:]  # ranks left to the filter, less the densest
     xo = x[order]  # in rank order a token's denser tokens are the rows before it
     left, right, bound, _ = _gram_filter(xo)
-    filtered = math.isfinite(bound)
     buf = np.empty(min(n, ROW_CHUNK) * n, dtype=np.float32)
     later = np.triu(np.ones((ROW_CHUNK, ROW_CHUNK), dtype=bool))  # in-block, not denser
     nearest_d2[0] = _exact_sq(xo[0], xo).max()
@@ -314,15 +316,10 @@ def delta_distance(tokens: np.ndarray, rho: np.ndarray,
         rows = peaks[np.searchsorted(peaks, lo):np.searchsorted(peaks, hi)]
         if not rows.size:
             continue
-        not_denser = later[rows - lo, :hi - lo]
-        if filtered:
-            p = np.matmul(left[rows], right[:, :hi], out=buf[:rows.size * hi].reshape(rows.size, hi))
-            p[:, lo:hi][not_denser] = np.inf
-            # the exact nearest denser token lies within 2*bound of the smallest P
-            cand = p <= _limit(p.min(axis=1), bound)[:, None]
-        else:
-            cand = np.ones((rows.size, hi), dtype=bool)
-            cand[:, lo:hi][not_denser] = False
+        p = np.matmul(left[rows], right[:, :hi], out=buf[:rows.size * hi].reshape(rows.size, hi))
+        p[:, lo:hi][later[rows - lo, :hi - lo]] = np.inf
+        # the exact nearest denser token lies within 2*bound of the smallest P
+        cand = p <= _limit(p.min(axis=1), bound)[:, None]
         nearest_d2[rows] = _refine(xo[rows], xo[:hi], cand)[0].min(axis=1)
     out = np.empty(n)
     # sqrt is monotone and correctly rounded: sqrt(min(d2)) == min(sqrt(d2))
@@ -346,12 +343,12 @@ def prune(tokens: np.ndarray, cfg: DpcConfig) -> tuple[DpcScores, PruneSelection
     n_keep = max(1, n // cfg.epsilon)
     by_score = np.lexsort((np.arange(n), -score))
     kept = np.sort(by_score[:n_keep])
-    return DpcScores(rho=rho, delta=delta, score=score), PruneSelection(kept=kept, epsilon=cfg.epsilon)
+    return DpcScores(rho=rho, delta=delta, score=score), PruneSelection(kept=kept)
 
 
 def select(tokens: np.ndarray, cfg: DpcConfig) -> PruneSelection:
     """The tokens to keep: all of them at epsilon 1, without a scoring pass,
     else the selection of :func:`prune`."""
     if cfg.epsilon == 1:
-        return PruneSelection(kept=np.arange(len(tokens)), epsilon=1)
+        return PruneSelection(kept=np.arange(len(tokens)))
     return prune(tokens, cfg)[1]

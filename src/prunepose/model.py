@@ -20,7 +20,7 @@ from .attention import (
     transformer_block,
     spatio_temporal_block,
 )
-from .dpc import DpcConfig, NonFiniteTokens, PruneSelection, select
+from .dpc import DpcConfig, NonFiniteTokens, PruneSelection, _check_int, select
 from .tensor import (
     DiffNode,
     ShapeError,
@@ -84,14 +84,17 @@ class ModelConfig:
     def __post_init__(self):
         for name, low in (("patch", 1), ("heads", 1), ("embed_dim", 1), ("joints", 1),
                           ("upsample_factor", 1), ("backbone_depth", 0), ("blocks_per_branch", 0)):
-            if getattr(self, name) < low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+            _check_int(name, getattr(self, name), low)
         if not (isinstance(self.hr_cfg, DpcConfig) and isinstance(self.lr_cfg, DpcConfig)):
             raise ValueError(f"hr_cfg and lr_cfg must be DpcConfigs, "
                              f"got {self.hr_cfg!r} and {self.lr_cfg!r}")
+        if not isinstance(self.add_hr_pos_embed, bool):
+            raise ValueError(f"add_hr_pos_embed must be a bool, got {self.add_hr_pos_embed!r}")
         h, w = self.image_size
-        if min(h, w) < 1 or h % self.patch or w % self.patch:
-            raise ValueError(f"image size {self.image_size} must be positive multiples "
+        _check_int("image height", h, 1)
+        _check_int("image width", w, 1)
+        if h % self.patch or w % self.patch:
+            raise ValueError(f"image size {self.image_size} must be multiples "
                              f"of patch {self.patch}")
         if self.embed_dim % self.heads:
             raise ValueError(f"embed dim {self.embed_dim} not divisible by {self.heads} heads")
@@ -315,7 +318,8 @@ def forward_full(triplet: FrameTriplet, cfg: ModelConfig, params: ModelParams,
 
 def _mean_loss(samples, cfg: ModelConfig, params: ModelParams, frozen=None) -> DiffNode:
     """Mean heatmap loss over (triplet, target) samples; one sample's loss is
-    returned as it is. ``frozen`` is passed to :func:`forward_full`."""
+    returned as it is. ``frozen`` is passed to :func:`forward_full`. Raises
+    TrainingError when the features or the loss are non-finite."""
     try:
         losses = [heatmap_loss(forward_full(t, cfg, params, frozen=frozen), g)
                   for t, g in samples]
@@ -324,7 +328,10 @@ def _mean_loss(samples, cfg: ModelConfig, params: ModelParams, frozen=None) -> D
     total = losses[0]
     for extra in losses[1:]:
         total = add(total, extra)
-    return total if len(losses) == 1 else scale(total, 1.0 / len(losses))
+    total = total if len(losses) == 1 else scale(total, 1.0 / len(losses))
+    if not np.isfinite(total.value):
+        raise TrainingError(f"non-finite loss {float(total.value)!r}")
+    return total
 
 
 def _descend(samples, cfg: ModelConfig, params: ModelParams, lr: float) -> float:
@@ -335,8 +342,6 @@ def _descend(samples, cfg: ModelConfig, params: ModelParams, lr: float) -> float
         raise ValueError(f"learning rate must be >= 0, got {lr}")
     loss = _mean_loss(samples, cfg, params)
     loss_val = float(loss.value)
-    if not np.isfinite(loss_val):
-        raise TrainingError(f"non-finite loss {loss_val!r}")
     backward(loss)
     if lr > 0:
         for _, p in params.named_parameters():

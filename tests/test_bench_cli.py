@@ -24,6 +24,7 @@ from prunepose.model import (
     heatmap_loss,
     init_model_params,
     patch_embed_backbone,
+    train_step,
 )
 from prunepose.synth import SynthScene, make_triplet_sample
 from prunepose.tensor import (
@@ -112,6 +113,21 @@ class TestRatioGrid:
         report = run_ratio_grid(SMALL_GRID, ratios=(1, 2), train_steps=0, iters=1)
         assert len(calls) == 1 and len(report["cells"]) == 4
         assert not any("error" in c for c in report["cells"])
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_cell_error_names_the_step(self):
+        report = run_ratio_grid(SMALL_GRID, ratios=(1,), train_steps=1, lr=1e60, iters=1)
+        assert re.fullmatch(r"TrainingError: non-finite .* at step 1", report["cells"][0]["error"])
+
+
+def test_train_curve_ends_with_the_final_loss():
+    # the loss before each of the steps, then the loss after the last
+    sample = _sample(TINY, 0)
+    params, twin = init_model_params(TINY, 0), init_model_params(TINY, 0)
+    curve = bench._train([sample], TINY, params, 3, 0.03)
+    want = [train_step(*sample, TINY, twin, 0.03) for _ in range(3)]
+    want.append(float(heatmap_loss(forward_full(sample[0], TINY, twin), sample[1]).value))
+    assert curve == want
 
 
 def test_sample_pads_joints_beyond_the_skeleton():
@@ -273,6 +289,24 @@ class TestCli:
         assert err.startswith("error: non-finite")
         assert re.search(r"at step \d+$", err.strip())
 
+    def test_nan_tau_named_in_the_error(self, tmp_path, capsys):
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps({"model": {"hr_cfg": {"tau": float("nan")}}}))
+        assert run(["gradcheck", "--max-coords", "1", "--config", str(path)]) == 2
+        assert "tau must be" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lr, message", [
+        ("1e60", "error: non-finite loss nan at step 1"),
+        ("1e150", "error: non-finite features: tokens must be finite at step 1"),
+    ])
+    def test_train_smoke_final_loss_checked_as_a_step(self, lr, message, capsys):
+        # one step leaves the parameters huge; the final evaluation is step 1
+        assert run(["train-smoke", "--steps", "1", "--lr", lr, "--batch", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert not out
+        assert err.strip().endswith(message)
+
     def test_ratio_grid_emits_csv(self, tmp_path, capsys):
         out = tmp_path / "grid.json"
         cfg = tmp_path / "grid_cfg.json"
@@ -333,9 +367,19 @@ class TestCli:
         (["ratio-grid", "--train-steps", "-3"], None),
         (["gradcheck", "--max-coords", "1"], {"model": {"backbone_depth": -2}}),
         (["gradcheck", "--max-coords", "1"], {"model": {"blocks_per_branch": -1}}),
+        (["gradcheck", "--max-coords", "1"], {"model": {"hr_cfg": {"epsilon": 2.5}}}),
+        (["gradcheck", "--max-coords", "1"], {"model": {"lr_cfg": {"k": 2.5}}}),
+        (["gradcheck", "--max-coords", "1"], {"model": {"joints": 2.5}}),
+        (["gradcheck", "--max-coords", "1"], {"model": {"patch": 8.0}}),
+        (["gradcheck", "--max-coords", "1"], {"model": {"heads": True}}),
+        (["gradcheck", "--max-coords", "1"], {"model": {"image_size": [32.0, 32]}}),
+        (["gradcheck", "--max-coords", "1"], {"model": {"add_hr_pos_embed": "no"}}),
+        (["gradcheck", "--max-coords", "1"], {"model": {"hr_cfg": {"tau": float("nan")}}}),
     ], ids=["hr_cfg-unknown-key", "heads-0", "patch-0", "not-an-object", "image_size-int",
             "hr_cfg-int", "image_size-zero", "model-not-an-object", "train-steps-negative",
-            "backbone_depth-negative", "blocks_per_branch-negative"])
+            "backbone_depth-negative", "blocks_per_branch-negative", "epsilon-float", "k-float",
+            "joints-float", "patch-float", "heads-bool", "image_size-float",
+            "add_hr_pos_embed-string", "tau-nan"])
     def test_malformed_input_exits_2(self, argv, config, tmp_path, capsys):
         if config is not None:
             path = tmp_path / "f.json"

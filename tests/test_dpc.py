@@ -74,6 +74,35 @@ def spy_exact_sq(monkeypatch):
     return shapes
 
 
+def spy_refine(monkeypatch):
+    """The (a, b, cand) of every ``_refine`` call from here on."""
+    calls = []
+    refine = dpc._refine
+
+    def spy(a, b, cand):
+        calls.append((a, b, cand.copy()))
+        return refine(a, b, cand)
+
+    monkeypatch.setattr(dpc, "_refine", spy)
+    return calls
+
+
+def assert_every_column_a_candidate(calls, n):
+    """The candidate masks of one ``prune`` of N tokens under an infinite
+    bound: every column but self for density, every denser token for delta."""
+    blocks = -(-n // dpc.ROW_CHUNK)
+    lo = 0
+    for a, _, cand in calls[:blocks]:  # density, one call per block
+        want = np.ones((a.shape[0], n), dtype=bool)
+        want[np.arange(a.shape[0]), np.arange(lo, lo + a.shape[0])] = False
+        assert np.array_equal(cand, want)
+        lo += a.shape[0]
+    assert lo == n and len(calls) > blocks
+    for a, b, cand in calls[blocks:]:  # delta, in rank order: the rows of b before a row's own
+        own = np.array([np.flatnonzero((b == row).all(axis=1))[0] for row in a])
+        assert np.array_equal(cand, np.arange(len(b)) < own[:, None])
+
+
 def assert_matches_dense_reference(x, cfg):
     scores, sel = prune(x, cfg)
     rho, delta, kept = dense_reference(x, cfg.k, cfg.resolved_tau(x.shape[1]), cfg.epsilon)
@@ -263,10 +292,9 @@ class TestNeighbourResolvedDelta:
         assert not np.any(idx == np.arange(len(x))[:, None])  # no token lists itself
         assert_matches_oracle(x, DpcConfig(k=5, epsilon=4))
 
-    def test_every_row_a_peak_without_a_table(self):
-        # with a table the k least dense tokens always list a denser one, so
-        # a table-free call is the one in which every row is filtered; at
-        # k = 1, far-apart pairs make each pair's lower index a peak
+    def test_table_free_delta_matches_the_table(self):
+        # a table-free call builds the k = 1 table itself; at k = 1, far-apart
+        # pairs make each pair's lower index a peak, the most the filter sees
         x = np.array([[10.0 * p + b, 0.0] for p in range(8) for b in (0.0, 1.0)])
         peaks = local_peaks(x, 1)[0]
         assert peaks.tolist() == list(range(0, 16, 2))
@@ -304,7 +332,7 @@ class TestSelect:
 
         monkeypatch.setattr(dpc, "prune", no_prune)
         sel = dpc.select(np.full((9, 2), np.nan), DpcConfig(epsilon=1))
-        assert sel.kept.tolist() == list(range(9)) and sel.epsilon == 1
+        assert sel.kept.tolist() == list(range(9))
 
     def test_calls_prune_positionally_through_the_module(self, monkeypatch):
         x = np.random.default_rng(5).normal(size=(30, 3))
@@ -451,25 +479,39 @@ class TestFilterAndRefine:
         assert sel.kept.tolist() == list(range(512))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_overflowing_squares_skip_the_filter(self):
-        # squares of 1e155 overflow, so the bound is infinite and every block
-        # is refined densely; rho is 0 and the scores are NaN, as in the definition
+    def test_overflowing_squares_skip_the_filter(self, monkeypatch):
+        # squares of 1e155 overflow, so the bound is infinite, the limit
+        # saturates and every block is refined densely; rho is 0 and the
+        # scores are NaN, as in the definition
         x = 1e155 * np.random.default_rng(3).normal(size=(300, 4))
         x[:10] *= 1e-150
         assert not np.isfinite(dpc._gram_filter(x)[2])
+        calls = spy_refine(monkeypatch)
         scores, sel = prune(x, DpcConfig(k=3, epsilon=6))
+        assert_every_column_a_candidate(calls, len(x))
         rho, delta, kept = dense_reference(x, 3, 4.0, 6)
         assert np.array_equal(scores.rho, rho)
         assert np.array_equal(scores.delta, delta)
         assert np.array_equal(sel.kept, kept)
 
-    def test_underflowing_squares_skip_the_filter(self):
+    def test_underflowing_squares_skip_the_filter(self, monkeypatch):
         # below about 2^-536 the exact kernel's squares are subnormal dust, its
-        # underflow term exceeds every scaled distance and the filter is off
+        # underflow term exceeds every scaled distance, the bound is infinite
+        # and the limit saturates
         x = 2.0 ** -540 * np.random.default_rng(4).normal(size=(300, 4))
         assert not np.isfinite(dpc._gram_filter(x)[2])
         assert np.isfinite(dpc._gram_filter(2.0 ** 500 * x)[2])
+        calls = spy_refine(monkeypatch)
         assert_matches_dense_reference(x, DpcConfig(k=3, epsilon=6))
+        assert_every_column_a_candidate(calls, len(x))
+
+    def test_limit_saturates_at_an_infinite_bound(self):
+        # every finite float32 P passes the limit, a masked +inf column does not
+        best = np.array([-3.0, 0.0, 1e30, np.finfo(np.float32).max], dtype=np.float32)
+        lim = dpc._limit(best, math.inf)
+        assert lim.dtype == np.float32
+        assert np.all(lim == np.finfo(np.float32).max)
+        assert not np.any(np.float32(np.inf) <= lim)
 
     def test_limit_rounds_up_to_float32(self):
         # a float32 compare against a limit rounded to nearest could drop a
@@ -608,6 +650,8 @@ class TestInvariances:
 class TestConfigValidation:
     @pytest.mark.parametrize("kwargs", [
         {"k": 0}, {"tau": 0.0}, {"tau": -1.0}, {"epsilon": 0},
+        {"k": 2.5}, {"k": 5.0}, {"k": True}, {"epsilon": 2.5}, {"epsilon": "6"},
+        {"tau": math.nan}, {"tau": math.inf}, {"tau": "1"},
     ])
     def test_bad_config_rejected(self, kwargs):
         with pytest.raises(ValueError):

@@ -57,6 +57,8 @@ def default_setup():
     dict(hr_cfg=6), dict(lr_cfg={"epsilon": 4}),
     dict(image_size=(0, 0)), dict(image_size=(-16, 16)),
     dict(backbone_depth=-2), dict(blocks_per_branch=-1),
+    dict(patch=8.0), dict(heads=True), dict(joints=2.5), dict(image_size=(32.0, 32)),
+    dict(add_hr_pos_embed="no"), dict(add_hr_pos_embed=1),
 ])
 def test_model_config_rejects_bad_values(bad):
     with pytest.raises(ValueError):
@@ -137,8 +139,7 @@ class TestBranches:
         if frozen:  # seeded selections unlike the ones density peaks would pick
             rng = np.random.default_rng(5)
             hr_sel, lr_sel = (
-                PruneSelection(kept=np.sort(rng.choice(n, n // d.epsilon, replace=False)),
-                               epsilon=d.epsilon)
+                PruneSelection(kept=np.sort(rng.choice(n, n // d.epsilon, replace=False)))
                 for n, d in ((cfg.hr_tokens, cfg.hr_cfg), (cfg.temporal_tokens, cfg.lr_cfg)))
         runs = []
         for branches in (inline_branches, None):
