@@ -82,9 +82,9 @@ _SHARED_FLAGS = {
 _MODEL_FLAGS = ("--config", "--eps-hrb", "--eps-lrb")
 
 
-def _add_common(p, *flags):
+def _add_common(p, *flags, out_help="write the JSON report here"):
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None, help="write the JSON report here")
+    p.add_argument("--out", default=None, help=out_help)
     for flag in flags:
         p.add_argument(flag, **_SHARED_FLAGS[flag])
 
@@ -120,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch", type=int, default=2)
 
     p = sub.add_parser("dump-synth", help="write PGM frames + keypoint JSON")
-    _add_common(p)
+    _add_common(p, out_help="directory for the frames and keypoints.json (default synth_dump)")
     p.add_argument("--length", type=int, default=5)
     p.add_argument("--joints", type=int, default=15)
     return parser

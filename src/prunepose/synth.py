@@ -76,9 +76,10 @@ def _joint_colors(n: int) -> np.ndarray:
     return cols
 
 
-def _disc_pixels(cx: np.ndarray, cy: np.ndarray, radius: float, image_size):
-    """(rows, cols) of the in-image pixels within ``radius`` of any center
-    (cx[k], cy[k]), each tested as ``(x-cx)^2 + (y-cy)^2 <= radius^2``."""
+def _disc_hits(cx: np.ndarray, cy: np.ndarray, radius: float, image_size):
+    """Rows, columns and hit mask, each (K, span, span), of the pixel box
+    around each centre (cx[k], cy[k]): a pixel is hit if it lies in the image
+    and ``(x-cx)^2 + (y-cy)^2 <= radius^2``."""
     h, w = image_size
     span = np.arange(int(np.ceil(2 * radius)) + 2)  # covers floor(c - r) .. ceil(c + r)
     cx, cy = cx[:, None, None], cy[:, None, None]
@@ -86,7 +87,7 @@ def _disc_pixels(cx: np.ndarray, cy: np.ndarray, radius: float, image_size):
     ys = np.floor(cy - radius).astype(np.intp) + span[None, :, None]
     hit = ((xs - cx) ** 2 + (ys - cy) ** 2 <= radius ** 2) & (xs >= 0) & (xs < w) & (ys >= 0) & (ys < h)
     ys, xs = np.broadcast_arrays(ys, xs)
-    return ys[hit], xs[hit]
+    return ys, xs, hit
 
 
 def _render_figure(keypoints: np.ndarray, parents, image_size) -> np.ndarray:
@@ -102,10 +103,12 @@ def _render_figure(keypoints: np.ndarray, parents, image_size) -> np.ndarray:
         bones.append(a + np.linspace(0.0, 1.0, steps)[:, None] * (b - a))
     if bones:
         centers = np.concatenate(bones)
-        image[_disc_pixels(centers[:, 0], centers[:, 1], 1.5, image_size)] = (0.6, 0.6, 0.6)
+        ys, xs, hit = _disc_hits(centers[:, 0], centers[:, 1], 1.5, image_size)
+        image[ys[hit], xs[hit]] = (0.6, 0.6, 0.6)
     # joints overlap one another, so they are painted in order
-    for kp, color in zip(keypoints, _joint_colors(len(keypoints))):
-        image[_disc_pixels(kp[:1], kp[1:2], 3.0, image_size)] = color
+    ys, xs, hit = _disc_hits(keypoints[:, 0], keypoints[:, 1], 3.0, image_size)
+    for y, x, m, color in zip(ys, xs, hit, _joint_colors(len(keypoints))):
+        image[y[m], x[m]] = color
     return image
 
 

@@ -7,9 +7,10 @@ An affine layer is one node, because ``matmul`` takes the bias, and ``add``,
 ``sub`` and ``mul`` share one broadcasting op. The central-difference loop of
 every gradient check lives here too, and so does the one bilinear corner list:
 ``upsample_bilinear``'s forward, its VJP and ``synth``'s crops all read the
-same four (index, weight) corners. ``attention`` runs its softmax and softmax
-VJP on tiles of ``ROW_TILE`` query rows, which stay in cache, while its
-products stay whole-array BLAS calls, so tiling changes no bit.
+same four (index, weight) corners; the forward gathers them with 1-D takes.
+``attention`` runs its softmax and softmax VJP on tiles of ``ROW_TILE``
+query rows, which stay in cache, while its products stay whole-array BLAS
+calls, so tiling changes no bit.
 """
 
 from __future__ import annotations
@@ -337,11 +338,13 @@ def layer_norm_rows(x: DiffNode, gain: DiffNode, bias: DiffNode,
     xv = x.value
     if xv.ndim != 2:
         raise ShapeError(f"layer_norm_rows expects a matrix, got shape {xv.shape}")
+    # numpy's own mean and var steps, with the rows centred once
     n = xv.shape[1]
-    mu = xv.mean(axis=1, keepdims=True)
-    var = xv.var(axis=1, keepdims=True)
+    mu = np.add.reduce(xv, axis=1, keepdims=True) / n
+    xc = xv - mu
+    var = np.add.reduce(xc * xc, axis=1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (xv - mu) * inv
+    xhat = xc * inv
     gv, bv = gain.value, bias.value
     out = xhat * gv + bv
 
@@ -368,19 +371,48 @@ def _bilinear_axis(start: float, length: float, n_in: int, n_out: int):
 
 
 def _corners(rows, cols) -> list:
-    """``(index, weight)`` of the corners (y0, x0), (y0, x1), (y1, x0), (y1, x1)
-    of a bilinear resample at the :func:`_bilinear_axis` points ``rows``, ``cols``."""
+    """``((row indices, column indices), (row factor, column factor))`` of the
+    corners (y0, x0), (y0, x1), (y1, x0), (y1, x1) of a bilinear resample at
+    the :func:`_bilinear_axis` points ``rows``, ``cols``. A corner's weight is
+    the product of its two factors, (H, 1, 1) and (1, W, 1), so any row slice
+    of it can be formed on its own with the same bits."""
     (y0, y1, wy), (x0, x1, wx) = rows, cols
     wy, wx = wy[:, None, None], wx[None, :, None]
-    return [(np.ix_(y0, x0), (1 - wy) * (1 - wx)), (np.ix_(y0, x1), (1 - wy) * wx),
-            (np.ix_(y1, x0), wy * (1 - wx)), (np.ix_(y1, x1), wy * wx)]
+    return [((y0, x0), (1 - wy, 1 - wx)), ((y0, x1), (1 - wy, wx)),
+            ((y1, x0), (wy, 1 - wx)), ((y1, x1), (wy, wx))]
+
+
+# _bilinear works on row tiles whose row takes and term buffer stay within
+# this many bytes: heap memory that is reused, where whole-image temporaries
+# are mapped afresh and page-faulted in on every call
+BILINEAR_TILE_BYTES = 1 << 17
 
 
 def _bilinear(image: np.ndarray, corners) -> np.ndarray:
-    """Bilinear resample of an HxWxC array: the weighted sum of its four
-    :func:`_corners`, the list that the upsample VJP scatters back through."""
-    (i0, w0), (i1, w1), (i2, w2), (i3, w3) = corners
-    return w0 * image[i0] + w1 * image[i1] + w2 * image[i2] + w3 * image[i3]
+    """Bilinear resample of an HxWxC float64 array: the weighted sum of its
+    four :func:`_corners`, the list that the upsample VJP scatters back
+    through. Per tile of output rows, the top and bottom source rows are
+    taken once each and their columns taken from them; the terms add up in
+    corner order, ``((a + b) + c) + d``, so the bits do not depend on the
+    tiling. The indices are in range, and ``mode="clip"`` spares the copy of
+    ``out`` that ``take`` buffers under its default mode."""
+    ((y0, x0), f0), ((_, x1), f1), ((y1, _), f2), (_, f3) = corners
+    out = np.empty((len(y0), len(x0), image.shape[2]))
+    step = max(1, BILINEAR_TILE_BYTES // (out.itemsize * image.shape[2]
+                                          * max(image.shape[1], len(x0))))
+    buf = np.empty((step,) + out.shape[1:])
+    for r in range(0, len(y0), step):
+        rows = slice(r, r + step)
+        acc = out[rows]
+        term = buf[:len(acc)]
+        top, bottom = image.take(y0[rows], axis=0), image.take(y1[rows], axis=0)
+        top.take(x0, axis=1, out=acc, mode="clip")
+        acc *= f0[0][rows] * f0[1]
+        for src, cols, (fy, fx) in ((top, x1, f1), (bottom, x0, f2), (bottom, x1, f3)):
+            src.take(cols, axis=1, out=term, mode="clip")
+            term *= fy[rows] * fx
+            acc += term
+    return out
 
 
 def upsample_bilinear(x: DiffNode, factor: int) -> DiffNode:
@@ -398,8 +430,8 @@ def upsample_bilinear(x: DiffNode, factor: int) -> DiffNode:
 
     def vjp(g):
         gx = np.zeros_like(xv)
-        for idx, weight in corners:
-            np.add.at(gx, idx, weight * g)
+        for (ys, xs), (fy, fx) in corners:
+            np.add.at(gx, np.ix_(ys, xs), fy * fx * g)
         return (gx,)
 
     return DiffNode(out, (x,), vjp)

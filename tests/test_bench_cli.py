@@ -1,6 +1,10 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -430,3 +434,15 @@ class TestCli:
         assert code == 0
         assert (out / "frame_000.pgm").exists()
         assert (out / "keypoints.json").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"],
+                                      ["dump-synth", "--length", "3", "--out", "dump"]],
+                             ids=["help", "dump-synth"])
+    def test_python_m_prunepose_runs_from_a_checkout(self, argv, tmp_path):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run([sys.executable, "-m", "prunepose", *argv], cwd=tmp_path,
+                              env=dict(os.environ, PYTHONPATH=str(src)),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        if argv[0] == "dump-synth":
+            assert (tmp_path / "dump" / "keypoints.json").exists()

@@ -107,9 +107,13 @@ class TestGenerateSequence:
     def test_render_matches_one_disc_at_a_time(self):
         rng = np.random.default_rng(13)
         for size in [(48, 40), (96, 128)]:
-            for _ in range(10):
+            for case in range(12):
                 # keypoints anywhere in the frame, some on or just past its edges
                 kps = rng.uniform(-3.0, 1.0, size=(15, 2)) + rng.random((15, 2)) * size[::-1]
+                if case == 10:  # two joints on one point: the later one's colour wins
+                    kps[11] = kps[4]
+                if case == 11:  # a joint wholly outside the frame paints nothing
+                    kps[7] = (-20.0, size[0] + 20.0)
                 assert np.array_equal(_render_figure(kps, DEFAULT_PARENTS, size),
                                       stamped_one_disc_at_a_time(kps, DEFAULT_PARENTS, size))
 

@@ -3,11 +3,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import prunepose.tensor as tensor
 from prunepose.tensor import (
+    BILINEAR_TILE_BYTES,
     ROW_TILE,
     DiffNode,
     ShapeError,
+    _bilinear,
+    _bilinear_axis,
     _central_diff,
+    _corners,
     _merge_heads,
     _softmax,
     _softmax_vjp,
@@ -269,6 +274,41 @@ def repeat_tile_upsample_vjp(xv, factor, g):
     return gx
 
 
+def ix_corners(rows, cols) -> list:
+    """``(np.ix_ index, weight)`` of the four bilinear corners in (y0, x0),
+    (y0, x1), (y1, x0), (y1, x1) order, at ``_bilinear_axis`` points."""
+    (y0, y1, wy), (x0, x1, wx) = rows, cols
+    wy, wx = wy[:, None, None], wx[None, :, None]
+    return [(np.ix_(y0, x0), (1 - wy) * (1 - wx)), (np.ix_(y0, x1), (1 - wy) * wx),
+            (np.ix_(y1, x0), wy * (1 - wx)), (np.ix_(y1, x1), wy * wx)]
+
+
+def ix_bilinear(image, rows, cols):
+    """The resampler as four 2-D ``np.ix_`` gathers, summed in corner order."""
+    (i0, w0), (i1, w1), (i2, w2), (i3, w3) = ix_corners(rows, cols)
+    return w0 * image[i0] + w1 * image[i1] + w2 * image[i2] + w3 * image[i3]
+
+
+class TestBilinear:
+    # (y, h, x, w) windows over a 40x30 image: inside it, past each edge in
+    # turn, and past all four, so the sample points are clamped on every side
+    WINDOWS = [(5.3, 20.7, 4.1, 17.9), (-6.0, 20.0, 3.0, 15.0), (25.0, 22.0, 3.0, 15.0),
+               (5.0, 20.0, -7.5, 15.0), (5.0, 20.0, 20.0, 18.0), (-3.0, 46.0, -2.0, 35.0)]
+
+    @pytest.mark.parametrize("tile_bytes", [1, BILINEAR_TILE_BYTES], ids=["row-tiles", "default"])
+    @pytest.mark.parametrize("out_size", [(1, 1), (17, 13), (48, 64)])
+    @pytest.mark.parametrize("channels", [1, 3, 32])
+    def test_takes_equal_ix_gathers(self, channels, out_size, tile_bytes, monkeypatch):
+        monkeypatch.setattr(tensor, "BILINEAR_TILE_BYTES", tile_bytes)
+        rng = np.random.default_rng(channels * 1000 + out_size[0])
+        image = rng.normal(size=(40, 30, channels)) * 10.0 ** rng.uniform(-3, 3)
+        for y, h, x, w in self.WINDOWS:
+            rows = _bilinear_axis(y, h, 40, out_size[0])
+            cols = _bilinear_axis(x, w, 30, out_size[1])
+            assert np.array_equal(_bilinear(image, _corners(rows, cols)),
+                                  ix_bilinear(image, rows, cols)), (y, h, x, w)
+
+
 class TestUpsampleBilinear:
     def test_constant_preserved(self):
         x = np.full((2, 2, 1), 7.0)
@@ -308,6 +348,25 @@ class TestUpsampleBilinear:
             x = constant(xv)
             backward(sum_all(mul(upsample_bilinear(x, factor), constant(g))))
             assert np.array_equal(x.grad, repeat_tile_upsample_vjp(xv, factor, g)), shape
+
+
+    @pytest.mark.parametrize("factor", [1, 2, 3, 4])
+    def test_forward_and_vjp_equal_ix_gathers_and_scatter(self, factor):
+        rng = np.random.default_rng(10 + factor)
+        for shape in [(1, 1, 1), (1, 5, 2), (4, 1, 3), (7, 9, 3), (16, 12, 32)]:
+            h, w, _ = shape
+            rows = _bilinear_axis(0, h, h, h * factor)
+            cols = _bilinear_axis(0, w, w, w * factor)
+            xv = rng.normal(size=shape)
+            g = rng.normal(size=(h * factor, w * factor, shape[2]))
+            x = constant(xv)
+            out = upsample_bilinear(x, factor)
+            assert np.array_equal(out.value, ix_bilinear(xv, rows, cols)), shape
+            backward(sum_all(mul(out, constant(g))))
+            want = np.zeros_like(xv)
+            for idx, weight in ix_corners(rows, cols):
+                np.add.at(want, idx, weight * g)
+            assert np.array_equal(x.grad, want), shape
 
 
 class TestGatherScatter:
@@ -350,6 +409,35 @@ class TestGatherScatter:
         rows = constant(np.random.default_rng(4).normal(size=(5, 2)))
         out = scatter_rows(base, np.arange(5), rows).value
         assert np.array_equal(out, rows.value)
+
+
+def mean_var_layer_norm(xv, gv, bv, g, eps=1e-5):
+    """``layer_norm_rows`` and its VJP written with numpy's ``mean`` and ``var``."""
+    mu = xv.mean(axis=1, keepdims=True)
+    var = xv.var(axis=1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (xv - mu) * inv
+    gh = g * gv
+    g_x = inv * (gh - gh.mean(axis=1, keepdims=True)
+                 - xhat * (gh * xhat).mean(axis=1, keepdims=True))
+    return (xhat * gv + bv, g_x, _unbroadcast_reference(g * xhat, gv.shape),
+            _unbroadcast_reference(g, bv.shape))
+
+
+class TestLayerNormRows:
+    @pytest.mark.parametrize("rows", ["random", "offset", "constant", "one-column"])
+    def test_value_and_vjp_equal_mean_var_formula(self, rows):
+        rng = np.random.default_rng(17)
+        xv = {"random": rng.normal(size=(9, 37)) * 3.0,
+              "offset": 1e6 + rng.normal(size=(5, 64)),
+              "constant": np.full((4, 6), 2.5),
+              "one-column": rng.normal(size=(6, 1))}[rows]
+        gv, bv = rng.normal(size=xv.shape[1]), rng.normal(size=xv.shape[1])
+        g = rng.normal(size=xv.shape)
+        node = layer_norm_rows(constant(xv), constant(gv), constant(bv))
+        got = (node.value,) + tuple(node._vjp(g))
+        for a, b in zip(got, mean_var_layer_norm(xv, gv, bv, g)):
+            assert np.array_equal(a, b)
 
 
 class TestBackward:
