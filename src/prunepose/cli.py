@@ -54,6 +54,9 @@ def _load_config(path) -> dict:
         raise ValueError(f"cannot read config {path}: {e}") from e
     if not isinstance(raw, dict) or not isinstance(raw.get("model", {}), dict):
         raise ValueError(f"config {path} must hold a JSON object whose \"model\" is an object")
+    unknown = sorted(raw.keys() - {"model"})
+    if unknown:  # a key the run would ignore is a usage error
+        raise ValueError(f"config {path}: unknown top-level keys {unknown}")
     return raw
 
 
@@ -172,7 +175,7 @@ def run(argv=None) -> int:
             print(json.dumps(_report("dump-synth", config, out=out,
                                      frames=len(meta["frames"])), indent=2))
             return 0
-    except (ValueError, KeyError) as e:
+    except (ValueError, KeyError, OSError) as e:  # OSError: an unwritable --out
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TrainingError as e:

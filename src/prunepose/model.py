@@ -373,13 +373,18 @@ def save_checkpoint(path, params: ModelParams):
 
 
 def load_checkpoint(path, params: ModelParams):
-    """Restore parameter values in place; shapes must match exactly."""
+    """Restore parameter values in place; names and shapes must match exactly."""
     with open(path) as fh:
         payload = json.load(fh)
+    if not isinstance(payload, dict) or not isinstance(payload.get("params"), dict):
+        raise ValueError("not a recognized checkpoint: not a JSON object with a \"params\" object")
     if payload.get("magic") != CHECKPOINT_MAGIC:
         raise ValueError(f"not a recognized checkpoint: magic={payload.get('magic')!r}")
-    stored = payload["params"]
-    for name, p in params.named_parameters():
+    stored, named = payload["params"], params.named_parameters()
+    extra = stored.keys() - {name for name, _ in named}
+    if extra:
+        raise KeyError(f"checkpoint has parameters the model lacks: {sorted(extra)}")
+    for name, p in named:
         if name not in stored:
             raise KeyError(f"checkpoint missing parameter {name!r}")
         entry = stored[name]

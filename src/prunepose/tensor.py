@@ -16,8 +16,9 @@ calls, so tiling changes no bit.
 from __future__ import annotations
 
 import contextlib
+import heapq
+import itertools
 import math
-import threading
 import types
 from typing import Callable, Sequence
 
@@ -59,14 +60,12 @@ class ShapeError(ValueError):
 # MAC accounting
 # ---------------------------------------------------------------------------
 
-_tally_stack = threading.local()  # per thread, so each thread's tallies stay apart
+_tallies: list = []  # the open mac_tally blocks, outermost first
 
 
 def _record_macs(n: int):
-    stack = getattr(_tally_stack, "stack", None)
-    if stack:
-        for tally in stack:
-            tally.macs += int(n)
+    for tally in _tallies:
+        tally.macs += int(n)
 
 
 @contextlib.contextmanager
@@ -75,19 +74,19 @@ def mac_tally():
     from shapes, of the ops run inside the block; it yields an object whose
     ``macs`` holds the count. Nested tallies each count."""
     tally = types.SimpleNamespace(macs=0)
-    stack = getattr(_tally_stack, "stack", None)
-    if stack is None:
-        stack = _tally_stack.stack = []
-    stack.append(tally)
+    _tallies.append(tally)
     try:
         yield tally
     finally:
-        stack.remove(tally)
+        _tallies.remove(tally)
 
 
 # ---------------------------------------------------------------------------
 # Autodiff graph
 # ---------------------------------------------------------------------------
+
+_created = itertools.count()  # creation order of DiffNodes, for backward
+
 
 class DiffNode:
     """A value in the computation graph.
@@ -98,7 +97,7 @@ class DiffNode:
     vector-Jacobian-product closure.
     """
 
-    __slots__ = ("value", "grad", "parents", "_vjp", "name")
+    __slots__ = ("value", "grad", "parents", "_vjp", "name", "_order")
 
     def __init__(self, value, parents=(), vjp=None, name: str | None = None):
         value = np.asarray(value, dtype=np.float64)
@@ -109,6 +108,7 @@ class DiffNode:
         self.parents: tuple = tuple(parents)
         self._vjp = vjp
         self.name = name
+        self._order = next(_created)
 
     @property
     def shape(self) -> tuple:
@@ -124,40 +124,24 @@ def constant(data, name: str | None = None) -> DiffNode:
     return DiffNode(data, name=name)
 
 
-def _toposort(root: DiffNode) -> list[DiffNode]:
-    order: list[DiffNode] = []
-    seen: set[int] = set()
-    stack: list[tuple[DiffNode, bool]] = [(root, False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node.parents:
-            if id(p) not in seen:
-                stack.append((p, False))
-    return order
-
-
 def backward(root: DiffNode):
-    """Populate ``grad`` for every node reachable from the scalar ``root``."""
+    """Populate ``grad`` for every node reachable from the scalar ``root``,
+    newest first: an op creates its node after its inputs, so a node runs
+    after all of its consumers."""
     if root.value.size != 1:
         raise ShapeError(f"backward requires a scalar output, got shape {root.shape}")
-    order = _toposort(root)
     grads: dict[int, np.ndarray] = {id(root): np.ones(root.shape)}
-    for node in reversed(order):
-        node.grad = g = grads.pop(id(node))  # every consumer has already run
+    pending = [(-root._order, root)]  # orders are unique: no two nodes compared
+    while pending:
+        node = heapq.heappop(pending)[1]
+        node.grad = g = grads.pop(id(node))
         if node._vjp is None:
             continue
-        parent_grads = node._vjp(g)
-        for p, pg in zip(node.parents, parent_grads):
+        for p, pg in zip(node.parents, node._vjp(g)):
             acc = grads.get(id(p))
             if acc is None:
                 grads[id(p)] = np.array(pg, dtype=np.float64, order="C")
+                heapq.heappush(pending, (-p._order, p))
             else:
                 acc += pg
 

@@ -379,17 +379,30 @@ class TestCli:
         (["gradcheck", "--max-coords", "1"], {"model": {"image_size": [32.0, 32]}}),
         (["gradcheck", "--max-coords", "1"], {"model": {"add_hr_pos_embed": "no"}}),
         (["gradcheck", "--max-coords", "1"], {"model": {"hr_cfg": {"tau": float("nan")}}}),
+        (["gradcheck", "--max-coords", "1"], {"model": {"joints": 2}, "seed": 9, "iters": 7}),
+        (["gradcheck", "--max-coords", "1"], {"modle": {"joints": 2}}),
     ], ids=["hr_cfg-unknown-key", "heads-0", "patch-0", "not-an-object", "image_size-int",
             "hr_cfg-int", "image_size-zero", "model-not-an-object", "train-steps-negative",
             "backbone_depth-negative", "blocks_per_branch-negative", "epsilon-float", "k-float",
             "joints-float", "patch-float", "heads-bool", "image_size-float",
-            "add_hr_pos_embed-string", "tau-nan"])
+            "add_hr_pos_embed-string", "tau-nan", "ignored-top-level-keys",
+            "misspelt-model-key"])
     def test_malformed_input_exits_2(self, argv, config, tmp_path, capsys):
         if config is not None:
             path = tmp_path / "f.json"
             path.write_text(json.dumps(config))
             argv = argv + ["--config", str(path)]
         assert run(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv, make_out", [
+        (["gradcheck", "--max-coords", "1"], lambda path: path.mkdir()),
+        (["dump-synth", "--length", "2"], lambda path: path.write_text("")),
+    ], ids=["gradcheck-out-is-a-directory", "dump-synth-out-is-a-file"])
+    def test_unwritable_out_exits_2(self, argv, make_out, tmp_path, capsys):
+        out = tmp_path / "taken"
+        make_out(out)
+        assert run(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("argv", [

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from prunepose.attention import spatio_temporal_block, transformer_block
 from prunepose.dpc import DpcConfig, PruneSelection, select
 from prunepose.model import (
+    CHECKPOINT_MAGIC,
     FrameTriplet,
     ModelConfig,
     TrainingError,
@@ -467,6 +469,25 @@ class TestCheckpoint:
                                               joints=2, heads=2), 0)
         with pytest.raises(ShapeError):
             load_checkpoint(path, other)
+
+    def test_extra_parameters_rejected_by_name(self, tmp_path):
+        path = tmp_path / "deep.json"
+        save_checkpoint(path, init_model_params(replace(TINY, backbone_depth=3), 0))
+        params = init_model_params(TINY, 0)
+        before = [p.value.copy() for _, p in params.named_parameters()]
+        with pytest.raises(KeyError, match=r"backbone\.2\."):
+            load_checkpoint(path, params)
+        assert all(np.array_equal(b, p.value)
+                   for b, (_, p) in zip(before, params.named_parameters()))
+
+    @pytest.mark.parametrize("payload", [
+        [1, 2], {"magic": CHECKPOINT_MAGIC, "params": [1]}, {"magic": CHECKPOINT_MAGIC},
+    ], ids=["list", "params-a-list", "no-params"])
+    def test_payload_that_is_not_an_object_rejected(self, payload, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            load_checkpoint(path, init_model_params(TINY, 0))
 
 
 class TestConfigValidation:

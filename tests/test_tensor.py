@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -30,6 +31,7 @@ from prunepose.tensor import (
     mean_all,
     mul,
     reshape,
+    scale,
     scatter_rows,
     softmax_rows,
     sub,
@@ -457,6 +459,94 @@ class TestBackward:
     def test_backward_requires_scalar(self):
         with pytest.raises(ShapeError):
             backward(constant(np.zeros((2, 2))))
+
+    # three consumers of one node, each a different function of it
+    CONSUMERS = (lambda h: sum_all(mul(h, h)),
+                 lambda h: sum_all(gelu(h)),
+                 lambda h: mean_all(scale(h, 3.0)))
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_three_consumers_sum_in_any_creation_order(self, order):
+        def f(x):
+            h = mul(x, constant([[0.5, -2.0, 1.5]]))
+            a, b, c = (self.CONSUMERS[i](h) for i in order)
+            return add(add(a, b), c)
+
+        x = np.random.default_rng(11).normal(size=(2, 3))
+        assert finite_diff_check(f, x) < 1e-6
+
+    def test_long_chain_runs_without_recursion(self):
+        x = constant(np.array([1.0, 2.0]))
+        y = x
+        for _ in range(20_000):  # far deeper than Python's recursion limit
+            y = scale(y, 1.0001)
+        backward(sum_all(y))
+        assert np.allclose(x.grad, 1.0001 ** 20_000, rtol=1e-9)
+
+    def test_vjp_runs_once_after_all_consumers(self):
+        x = constant(np.random.default_rng(12).normal(size=(2, 3)))
+        h = gelu(x)
+        long = scale(scale(scale(h, 2.0), 3.0), 0.5)  # created before h's other consumers
+        root = sum_all(add(mul(long, h), h))
+        ran, nodes, stack = [], {id(root): root}, [root]
+        while stack:
+            for p in stack.pop().parents:
+                if id(p) not in nodes:
+                    nodes[id(p)] = p
+                    stack.append(p)
+
+        def spy(node, vjp):
+            def recorded(g):
+                ran.append(node)
+                return vjp(g)
+            return recorded
+
+        for node in nodes.values():
+            if node._vjp is not None:
+                node._vjp = spy(node, node._vjp)
+        backward(root)
+        # every VJP ran exactly once, and h's after each of its three consumers
+        assert sorted(map(id, ran)) == sorted(id(n) for n in nodes.values() if n._vjp)
+        consumers = [n for n in nodes.values() if any(p is h for p in n.parents)]
+        assert len(consumers) == 3
+        assert max(map(ran.index, consumers)) < ran.index(h)
+
+    @staticmethod
+    def _tiny_model_samples(count):
+        from prunepose.cli import TINY_MODEL, _model_config
+        from prunepose.model import init_model_params
+        from prunepose.synth import SynthScene, make_triplet_sample
+
+        cfg = _model_config(TINY_MODEL)
+        samples = [make_triplet_sample(SynthScene(seed=s, joints=cfg.joints), cfg)[:2]
+                   for s in range(count)]
+        return cfg, init_model_params(cfg, 0), samples
+
+    def test_parameter_shared_by_two_samples_gets_the_sum(self):
+        from prunepose.model import _mean_loss
+
+        cfg, params, samples = self._tiny_model_samples(2)
+        named = params.named_parameters()
+        each = []
+        for sample in samples:
+            backward(_mean_loss([sample], cfg, params))
+            each.append([p.grad.copy() for _, p in named])
+        backward(_mean_loss(samples, cfg, params))
+        for (name, p), g0, g1 in zip(named, *each):
+            want = 0.5 * (g0 + g1)
+            tol = 1e-13 * max(1.0, np.abs(want).max())  # the sums' order may differ
+            assert np.allclose(p.grad, want, rtol=0, atol=tol), name
+
+    def test_second_backward_gives_the_same_gradients(self):
+        from prunepose.model import _mean_loss
+
+        cfg, params, samples = self._tiny_model_samples(1)
+        loss = _mean_loss(samples, cfg, params)
+        backward(loss)
+        first = [p.grad.copy() for _, p in params.named_parameters()]
+        backward(loss)
+        for g, (name, p) in zip(first, params.named_parameters()):
+            assert np.array_equal(g, p.grad), name
 
 
 class TestFiniteDiffCheck:
