@@ -7,7 +7,9 @@ Exit codes: 0 success, 1 check failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .bench import (
@@ -129,10 +131,37 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the suffix of the CSV that these subcommands write next to the --out report
+_CSV_SUFFIX = {"ratio-grid": ".csv", "train-smoke": ".curve.csv"}
+
+
+def _check_writable(args):
+    """Raise OSError, creating or truncating nothing, when a file that
+    ``--out`` names could not be written: the report, and its CSV."""
+    if not args.out or args.command == "dump-synth":  # dump-synth makes a directory
+        return
+    paths = [str(args.out)]
+    if args.command in _CSV_SUFFIX:
+        paths.append(paths[0] + _CSV_SUFFIX[args.command])
+    for path in paths:
+        parent = os.path.dirname(path) or "."
+        if os.path.isdir(path):
+            err = errno.EISDIR
+        elif os.path.exists(path):
+            err = 0 if os.access(path, os.W_OK) else errno.EACCES
+        elif not os.path.isdir(parent):
+            err = errno.ENOENT
+        else:
+            err = 0 if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+        if err:
+            raise OSError(err, os.strerror(err), path)
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_writable(args)
         if args.command == "bench":
             model = _resolve_model(args)
             bench = BenchConfig(model=model, warmup=args.warmup,
@@ -147,7 +176,7 @@ def run(argv=None) -> int:
                                     iters=args.iters)
             _emit(report, args.out)
             if args.out:
-                write_grid_csv(report, str(args.out) + ".csv")
+                write_grid_csv(report, str(args.out) + _CSV_SUFFIX[args.command])
             return 1 if any("error" in c for c in report["cells"]) else 0
 
         if args.command == "gradcheck":
@@ -163,7 +192,7 @@ def run(argv=None) -> int:
             report = run_train_smoke(model, steps=args.steps, lr=args.lr,
                                      seed=args.seed, batch=args.batch)
             if args.out:
-                write_curve_csv(report, str(args.out) + ".curve.csv")
+                write_curve_csv(report, str(args.out) + _CSV_SUFFIX[args.command])
             _emit(report, args.out)
             return 0 if report["passed"] else 1
 

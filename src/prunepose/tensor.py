@@ -8,9 +8,10 @@ An affine layer is one node, because ``matmul`` takes the bias, and ``add``,
 every gradient check lives here too, and so does the one bilinear corner list:
 ``upsample_bilinear``'s forward, its VJP and ``synth``'s crops all read the
 same four (index, weight) corners; the forward gathers them with 1-D takes.
-``attention`` runs its softmax and softmax VJP on tiles of ``ROW_TILE``
-query rows, which stay in cache, while its products stay whole-array BLAS
-calls, so tiling changes no bit.
+``attention`` runs its softmax on tiles of ``ROW_TILE`` query rows, which
+stay in cache, while its forward products stay whole-array BLAS calls, so
+tiling changes no forward bit; its VJP forms the logit gradient one query
+tile at a time from the output's row dots and never holds it whole.
 """
 
 from __future__ import annotations
@@ -263,12 +264,16 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
     h*d:(h+1)*d, d = C // heads, and writes the same columns of the (Nq, C)
     output. The backward pass keeps only the (heads, Nq, Nk) softmax.
 
-    The softmax and its VJP are passes over memory, so they run on tiles of
-    ``ROW_TILE`` query rows, (heads, ROW_TILE, Nk) slices that stay in cache,
-    and the VJP's (g * p) temporary is one tile. The products stay whole-array
-    calls, the same BLAS calls as untiled: a split by rows changes which
-    kernel BLAS picks for some shapes (a one-row tile goes to gemv), and so
-    changes bits.
+    The forward softmax is a pass over memory, so it runs on tiles of
+    ``ROW_TILE`` query rows, (heads, ROW_TILE, Nk) slices that stay in cache;
+    its products stay whole-array calls, the same BLAS calls as untiled, so
+    the output's bits do not depend on the tile. The VJP never holds the
+    whole logit gradient: the softmax backward needs only the row dots
+    rowsum(dP * P), and these equal rowsum(dO * O) (FlashAttention), which
+    the output gives. So one reused (heads, ROW_TILE, Nk) buffer holds a
+    tile's logit gradient while it adds to dq and dk, and the 1/sqrt(d)
+    scale goes on the (N, C) results. Only ``pᵀ @ dO`` stays a whole-array
+    product.
     """
     qv, kv, vv = q.value, k.value, v.value
     if (qv.ndim != 2 or kv.ndim != 2 or kv.shape != vv.shape
@@ -282,7 +287,7 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
     qh, kh, vh = (_split_heads(x, heads) for x in (qv, kv, vv))
     s = 1.0 / math.sqrt(d)  # a float, not a numpy scalar: cheaper at tiny sizes
     _record_macs(2 * heads * nq * nk * d)
-    tiles = [slice(lo, lo + ROW_TILE) for lo in range(0, nq, ROW_TILE)]
+    tiles = [slice(lo, min(lo + ROW_TILE, nq)) for lo in range(0, nq, ROW_TILE)]
     p = qh @ kh.transpose(0, 2, 1)
     for r in tiles:
         tile = p[:, r]
@@ -292,13 +297,19 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
 
     def vjp(g):
         gh = _split_heads(g, heads)
-        g_logits = gh @ vh.transpose(0, 2, 1)
+        dots = (gh * _split_heads(out, heads)).sum(axis=-1, keepdims=True)
+        dq, dk = np.empty((nq, c)), np.zeros((nk, c))
+        dqh, dkh = _split_heads(dq, heads), _split_heads(dk, heads)
+        buf = np.empty((heads, min(nq, ROW_TILE), nk))
         for r in tiles:
-            tile = _softmax_vjp(p[:, r], g_logits[:, r])
-            tile *= s
-        return (_merge_heads(g_logits @ kh),
-                _merge_heads(g_logits.transpose(0, 2, 1) @ qh),
-                _merge_heads(p.transpose(0, 2, 1) @ gh))
+            tile = np.matmul(gh[:, r], vh.transpose(0, 2, 1), out=buf[:, :r.stop - r.start])
+            tile -= dots[:, r]
+            tile *= p[:, r]
+            np.matmul(tile, kh, out=dqh[:, r])
+            dkh += tile.transpose(0, 2, 1) @ qh[:, r]
+        dq *= s
+        dk *= s
+        return dq, dk, _merge_heads(p.transpose(0, 2, 1) @ gh)
 
     return DiffNode(out, (q, k, v), vjp)
 

@@ -11,6 +11,7 @@ import pytest
 
 from prunepose.attention import spatio_temporal_block, transformer_block
 import prunepose.bench as bench
+import prunepose.cli as cli
 from prunepose.bench import (
     REPORT_SCHEMA,
     BenchConfig,
@@ -404,6 +405,39 @@ class TestCli:
         make_out(out)
         assert run(argv + ["--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @staticmethod
+    def _taken_by_a_directory(suffix):
+        def make(out):
+            out.write_text("kept\n")
+            Path(str(out) + suffix).mkdir()
+        return make
+
+    @pytest.mark.parametrize("argv, out_name, make_out", [
+        (["gradcheck"], "run", lambda out: out.mkdir()),
+        (["gradcheck"], "missing/run", lambda out: None),
+        (["train-smoke"], "run", _taken_by_a_directory(".curve.csv")),
+        (["train-smoke"], "missing/run", lambda out: None),
+        (["ratio-grid"], "run", _taken_by_a_directory(".csv")),
+    ], ids=["gradcheck-out-is-a-directory", "gradcheck-no-parent",
+            "train-smoke-curve-is-a-directory", "train-smoke-no-parent",
+            "ratio-grid-csv-is-a-directory"])
+    def test_unwritable_out_checked_before_any_work(self, argv, out_name, make_out,
+                                                    tmp_path, monkeypatch, capsys):
+        calls = []
+        for name in ("run_gradcheck", "run_train_smoke", "run_ratio_grid"):
+            monkeypatch.setattr(cli, name, lambda *a, name=name, **k: calls.append(name))
+        out = tmp_path / out_name
+        make_out(out)
+
+        def files():
+            return {p: p.is_dir() or p.read_text() for p in tmp_path.rglob("*")}
+
+        before = files()
+        assert run(argv + ["--out", str(out)]) == 2
+        assert calls == []
+        assert capsys.readouterr().err.startswith("error:")
+        assert files() == before  # nothing created or truncated
 
     @pytest.mark.parametrize("argv", [
         ["bench", "--iters", "1", "--warmup", "0"],

@@ -2,13 +2,21 @@
 between two checkouts.
 
     python3 tools/fingerprint.py --seeds 1 2 3 104729
+    python3 tools/fingerprint.py --grads A.npz [--seed 1]
+    python3 tools/fingerprint.py --compare-grads A.npz B.npz
 
-For each seed it builds the ``infer_pruned`` and ``train_mid`` workloads of
-``perfbench/workloads.py`` as the benchmark does, runs the pruned forward on
-every clip and ``STEPS`` training steps, and prints one JSON line of digests:
-the heatmaps, the hr and lr kept indices, the training losses and the final
-parameters. Run it from two checkouts and compare the lines; each checkout's
-copy imports its own ``src`` and ``perfbench``.
+For each seed, ``--seeds`` builds the ``infer_pruned`` and ``train_mid``
+workloads of ``perfbench/workloads.py`` as the benchmark does, runs the
+pruned forward on every clip and ``STEPS`` training steps, and prints one
+JSON line of digests: the heatmaps, the hr and lr kept indices, the training
+losses and the final parameters. Run it from two checkouts and compare the
+lines; each checkout's copy imports its own ``src`` and ``perfbench``.
+
+Where gradients are meant to change at rounding level only, ``--grads``
+saves the parameter gradients of one ``train_mid`` step (the first clip of
+the seed's batch, before any update) to an ``.npz``, and ``--compare-grads``
+prints one JSON line per parameter with max|B - A| / max|A|, then a summary
+line with the worst ratio and how many parameters are bit-identical.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -64,12 +73,59 @@ def fingerprint(seed: int) -> dict:
     }
 
 
+def step_grads(seed: int) -> dict:
+    """Parameter gradients of one ``train_mid`` step on the first clip."""
+    train = TrainMid(seed)
+    triplet, target = train.batch[0]
+    model.train_step(triplet, target, train.cfg, train.params, 0.0)  # lr 0: no update
+    return {name: p.grad for name, p in train.params.named_parameters()}
+
+
+def compare_grads(a: dict, b: dict) -> list:
+    """One row per parameter of ``a`` and a summary row, as dicts."""
+    if a.keys() != b.keys():
+        raise ValueError(f"parameter names differ: {sorted(a.keys() ^ b.keys())}")
+    rows = []
+    for name, ga in a.items():
+        gb = b[name]
+        if ga.shape != gb.shape:
+            raise ValueError(f"{name}: shapes differ, {ga.shape} vs {gb.shape}")
+        delta, scale = np.abs(gb - ga).max(initial=0.0), np.abs(ga).max(initial=0.0)
+        rel = delta / scale if scale else (0.0 if delta == 0 else math.inf)
+        rows.append({"param": name, "max_rel": float(rel),
+                     "identical": bool(np.array_equal(ga, gb))})
+    worst = max(rows, key=lambda row: row["max_rel"])
+    rows.append({"params": len(rows), "identical": sum(row["identical"] for row in rows),
+                 "worst": worst["max_rel"], "worst_param": worst["param"]})
+    return rows
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--seeds", type=int, nargs="+", required=True)
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--seeds", type=int, nargs="+", help="print digests per seed")
+    mode.add_argument("--grads", metavar="PATH.npz", help="save one step's gradients")
+    mode.add_argument("--compare-grads", nargs=2, metavar=("A.npz", "B.npz"),
+                      help="compare two saved gradient files")
+    ap.add_argument("--seed", type=int, default=None, help="workload seed of --grads (1)")
     args = ap.parse_args(argv)
-    for seed in args.seeds:
-        print(json.dumps(fingerprint(seed)), flush=True)
+    if args.seed is not None and args.grads is None:
+        ap.error("--seed applies only to --grads")
+    if args.grads is not None:
+        grads = step_grads(1 if args.seed is None else args.seed)
+        with open(args.grads, "wb") as fh:  # np.savez would append ".npz" to a bare name
+            np.savez(fh, **grads)
+    elif args.compare_grads:
+        a, b = (dict(np.load(path, allow_pickle=False)) for path in args.compare_grads)
+        try:
+            rows = compare_grads(a, b)
+        except ValueError as e:
+            ap.error(str(e))
+        for row in rows:
+            print(json.dumps(row))
+    else:
+        for seed in args.seeds:
+            print(json.dumps(fingerprint(seed)), flush=True)
     return 0
 
 
