@@ -35,7 +35,7 @@ def _tool(*argv):
 
 def test_grads_saved_and_compared(tmp_path):
     a, b = tmp_path / "a.npz", tmp_path / "b.npz"
-    done = _tool("--grads", str(a), "--seed", "3")
+    done = _tool("--grads", str(a))
     assert done.returncode == 0, done.stderr
     grads = dict(np.load(a))
     assert len(grads) > 1 and all(np.isfinite(g).all() for g in grads.values())
@@ -61,6 +61,6 @@ def test_grads_saved_and_compared(tmp_path):
     assert (summary["identical"], summary["worst"]) == (len(grads), 0.0)
 
 
-@pytest.mark.parametrize("argv", [["--seeds", "3", "--seed", "3"], ["--compare-grads", "x"]])
+@pytest.mark.parametrize("argv", [["--seeds", "3", "--grads", "a.npz"], ["--compare-grads", "x"]])
 def test_bad_mode_flags_exit_2(argv):
     assert _tool(*argv).returncode == 2

@@ -670,19 +670,26 @@ class TestAttention:
         k, v = rng.normal(size=(nk, 32)), rng.normal(size=(nk, 32))
         node = attention(constant(q), constant(k), constant(v), heads)
         grads = node._vjp(g)
-        want, _ = whole_array_attention(q, k, v, heads)
+        want, want_vjp = whole_array_attention(q, k, v, heads)
         assert np.array_equal(node.value, want)
-        # the VJP's tiles follow another sum order than the whole-array
-        # formulas: compare with them in extended precision, and require
-        # the same bits from a second call. The bound is relative to the
-        # largest reference gradient: at nk = 1 the exact dq and dk are 0,
-        # and the row dots leave rounding noise there
+        # dv is the same product as the whole-array op's
+        assert np.array_equal(grads[2], want_vjp(g)[2])
+        # dq and dk follow another sum order than the whole-array formulas:
+        # compare with them in extended precision, each relative to its own
+        # largest entry. At nk = 1 the exact dq and dk are 0 and the row dots
+        # leave rounding noise, so the scale there is that of the products'
+        # absolute terms, |g||v|ᵀ|k| and (|g||v|ᵀ)ᵀ|q|
         _, exact_vjp = whole_array_attention(*(x.astype(np.longdouble) for x in (q, k, v)),
                                              heads)
         refs = exact_vjp(g.astype(np.longdouble))
-        bound = 1e-13 * max(np.abs(ref).max() for ref in refs)
-        for got, ref, again in zip(grads, refs, node._vjp(g)):
-            assert np.abs(got - ref).max() <= bound
+        qa, ka, va, ga = (np.abs(_split_heads(x, heads)) for x in (q, k, v, g))
+        terms = ga @ va.transpose(0, 2, 1) / np.sqrt(32 // heads)
+        floors = (terms @ ka, terms.transpose(0, 2, 1) @ qa)
+        for got, ref, floor in zip(grads, refs, floors):
+            scale = np.abs(ref).max() or floor.max()
+            assert np.abs(got - ref).max() <= 1e-13 * scale
+        # and a second call gives the same bits
+        for got, again in zip(grads, node._vjp(g)):
             assert np.array_equal(got, again)
 
     def test_vjp_peak_memory_stays_near_two_score_arrays(self):

@@ -2,7 +2,7 @@
 between two checkouts.
 
     python3 tools/fingerprint.py --seeds 1 2 3 104729
-    python3 tools/fingerprint.py --grads A.npz [--seed 1]
+    python3 tools/fingerprint.py --grads A.npz
     python3 tools/fingerprint.py --compare-grads A.npz B.npz
 
 For each seed, ``--seeds`` builds the ``infer_pruned`` and ``train_mid``
@@ -13,10 +13,11 @@ losses and the final parameters. Run it from two checkouts and compare the
 lines; each checkout's copy imports its own ``src`` and ``perfbench``.
 
 Where gradients are meant to change at rounding level only, ``--grads``
-saves the parameter gradients of one ``train_mid`` step (the first clip of
-the seed's batch, before any update) to an ``.npz``, and ``--compare-grads``
-prints one JSON line per parameter with max|B - A| / max|A|, then a summary
-line with the worst ratio and how many parameters are bit-identical.
+saves the parameter gradients of one ``train_mid`` step (seed ``GRAD_SEED``,
+the first clip of its batch, before any update) to an ``.npz``, and
+``--compare-grads`` prints one JSON line per parameter with
+max|B - A| / max|A|, then a summary line with the worst ratio and how many
+parameters are bit-identical.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import prunepose.model as model  # noqa: E402
 from workloads import InferPruned, TrainMid  # noqa: E402
 
 STEPS = 12  # train_mid steps per seed
+GRAD_SEED = 1  # train_mid seed of --grads
 
 
 def digest(arrays) -> str:
@@ -107,12 +109,9 @@ def main(argv=None) -> int:
     mode.add_argument("--grads", metavar="PATH.npz", help="save one step's gradients")
     mode.add_argument("--compare-grads", nargs=2, metavar=("A.npz", "B.npz"),
                       help="compare two saved gradient files")
-    ap.add_argument("--seed", type=int, default=None, help="workload seed of --grads (1)")
     args = ap.parse_args(argv)
-    if args.seed is not None and args.grads is None:
-        ap.error("--seed applies only to --grads")
     if args.grads is not None:
-        grads = step_grads(1 if args.seed is None else args.seed)
+        grads = step_grads(GRAD_SEED)
         with open(args.grads, "wb") as fh:  # np.savez would append ".npz" to a bare name
             np.savez(fh, **grads)
     elif args.compare_grads:
