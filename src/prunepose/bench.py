@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import time
+import tracemalloc
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -99,10 +100,24 @@ def forward_baseline(triplet: FrameTriplet, cfg: ModelConfig, params: ModelParam
 
 
 def _time_variant(fn, warmup: int, iters: int):
+    """Latency, MACs and peak memory of ``fn``. One untimed call counts the
+    MACs and takes the ``tracemalloc`` peak (MiB above the memory in use when
+    it starts); the timed calls run untraced. A trace already running stays
+    on, though its peak reading restarts at that call."""
     for _ in range(warmup):
         fn()
-    with mac_tally() as tally:
-        fn()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with mac_tally() as tally:
+            fn()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
     times = []
     for _ in range(iters):
         t0 = time.perf_counter()
@@ -118,6 +133,7 @@ def _time_variant(fn, warmup: int, iters: int):
         },
         "throughput_per_s": iters / total_s,
         "macs": tally.macs,
+        "peak_mb": peak / 2**20,
         "iters": iters,
     }
 

@@ -10,8 +10,9 @@ every gradient check lives here too, and so does the one bilinear corner list:
 same four (index, weight) corners; the forward gathers them with 1-D takes.
 ``attention`` runs its softmax on tiles of ``ROW_TILE`` query rows, which
 stay in cache, while its forward products stay whole-array BLAS calls, so
-tiling changes no forward bit; its VJP forms the logit gradient one query
-tile at a time from the output's row dots and never holds it whole.
+tiling changes no forward bit. It keeps one log-sum-exp per query row, not
+the softmax: its VJP recomputes the softmax and forms the logit gradient one
+query tile at a time, so no (heads, Nq, Nk) array outlives a call.
 """
 
 from __future__ import annotations
@@ -221,12 +222,18 @@ def mean_all(a: DiffNode) -> DiffNode:
 ROW_TILE = 64  # query rows per tile in attention's softmax and its VJP
 
 
-def _softmax(x: np.ndarray) -> np.ndarray:
+def _softmax(x: np.ndarray, lse: np.ndarray | None = None) -> np.ndarray:
     """Softmax along the last axis, stabilized by max subtraction, written
-    over ``x``."""
-    x -= x.max(axis=-1, keepdims=True)
+    over ``x``. When given, ``lse`` receives each row's log-sum-exp,
+    max + log(sum), from the same pass."""
+    top = x.max(axis=-1, keepdims=True)
+    x -= top
     np.exp(x, out=x)
-    x /= x.sum(axis=-1, keepdims=True)
+    total = x.sum(axis=-1, keepdims=True)
+    x /= total
+    if lse is not None:
+        np.log(total, out=lse)
+        lse += top
     return x
 
 
@@ -262,18 +269,21 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
 
     ``q`` is (Nq, C) and ``k``, ``v`` are (Nk, C). Head h attends with columns
     h*d:(h+1)*d, d = C // heads, and writes the same columns of the (Nq, C)
-    output. The backward pass keeps only the (heads, Nq, Nk) softmax.
+    output. No (heads, Nq, Nk) array outlives the call: the backward pass
+    keeps one log-sum-exp per query row and recomputes the softmax.
 
     The forward softmax is a pass over memory, so it runs on tiles of
     ``ROW_TILE`` query rows, (heads, ROW_TILE, Nk) slices that stay in cache;
     its products stay whole-array calls, the same BLAS calls as untiled, so
-    the output's bits do not depend on the tile. The VJP never holds the
-    whole logit gradient: the softmax backward needs only the row dots
-    rowsum(dP * P), and these equal rowsum(dO * O) (FlashAttention), which
-    the output gives. So one reused (heads, ROW_TILE, Nk) buffer holds a
-    tile's logit gradient while it adds to dq and dk, and the 1/sqrt(d)
-    scale goes on the (N, C) results. Only ``pᵀ @ dO`` stays a whole-array
-    product.
+    the output's bits do not depend on the tile. Each tile's max and sum give
+    the rows' log-sum-exp L. The VJP works one query tile at a time in two
+    reused (heads, ROW_TILE, Nk) buffers (FlashAttention): P = exp(s·Q Kᵀ − L)
+    is one product of the tile's rows [Q | −L] with [s·K | 1], then
+    dV += Pᵀ dO. The softmax backward needs only the row dots
+    D = rowsum(dP * P), which equal rowsum(dO * O), so [dO | −D] @ [V | 1]ᵀ
+    gives dP − D in one product; times P it is the tile's logit gradient,
+    which adds to dq and dk. These take the 1/sqrt(d) scale s once, as
+    (N, C) results.
     """
     qv, kv, vv = q.value, k.value, v.value
     if (qv.ndim != 2 or kv.ndim != 2 or kv.shape != vv.shape
@@ -281,6 +291,9 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
         raise ShapeError(f"attention shapes do not conform: q {qv.shape}, "
                          f"k {kv.shape}, v {vv.shape}")
     (nq, c), nk = qv.shape, kv.shape[0]
+    for size, what in ((nq, "query rows"), (nk, "key rows"), (c, "columns")):
+        if not size:
+            raise ShapeError(f"attention got no {what}: q {qv.shape}, k {kv.shape}")
     if heads < 1 or c % heads:
         raise ShapeError(f"width {c} not divisible by {heads} heads")
     d = c // heads
@@ -289,27 +302,46 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
     _record_macs(2 * heads * nq * nk * d)
     tiles = [slice(lo, min(lo + ROW_TILE, nq)) for lo in range(0, nq, ROW_TILE)]
     p = qh @ kh.transpose(0, 2, 1)
+    lse = np.empty((heads, nq, 1))
     for r in tiles:
         tile = p[:, r]
         tile *= s
-        _softmax(tile)
+        _softmax(tile, lse[:, r])
     out = _merge_heads(p @ vh)
 
     def vjp(g):
         gh = _split_heads(g, heads)
         dots = (gh * _split_heads(out, heads)).sum(axis=-1, keepdims=True)
-        dq, dk = np.empty((nq, c)), np.zeros((nk, c))
-        dqh, dkh = _split_heads(dq, heads), _split_heads(dk, heads)
-        buf = np.empty((heads, min(nq, ROW_TILE), nk))
+        dq = np.empty((nq, c))
+        dqh = _split_heads(dq, heads)
+        # dk and dv add up over the tiles in contiguous arrays: adding into
+        # the strided head views of an (Nk, C) array is slower
+        dkh, dvh = np.zeros((heads, nk, d)), np.zeros((heads, nk, d))
+        k1, v1 = np.ones((heads, nk, d + 1)), np.ones((heads, nk, d + 1))
+        np.multiply(kh, s, out=k1[..., :d])
+        v1[..., :d] = vh
+        k1t, v1t = k1.transpose(0, 2, 1), v1.transpose(0, 2, 1)
+        rows = min(nq, ROW_TILE)
+        prob, grad = np.empty((heads, rows, nk)), np.empty((heads, rows, nk))
+        q1, g1 = np.empty((heads, rows, d + 1)), np.empty((heads, rows, d + 1))
         for r in tiles:
-            tile = np.matmul(gh[:, r], vh.transpose(0, 2, 1), out=buf[:, :r.stop - r.start])
-            tile -= dots[:, r]
-            tile *= p[:, r]
+            t = r.stop - r.start
+            qt, gt = q1[:, :t], g1[:, :t]
+            qt[..., :d] = qh[:, r]
+            np.negative(lse[:, r], out=qt[..., d:])
+            pt = np.matmul(qt, k1t, out=prob[:, :t])
+            np.exp(pt, out=pt)
+            dvh += pt.transpose(0, 2, 1) @ gh[:, r]
+            gt[..., :d] = gh[:, r]
+            np.negative(dots[:, r], out=gt[..., d:])
+            tile = np.matmul(gt, v1t, out=grad[:, :t])
+            tile *= pt
             np.matmul(tile, kh, out=dqh[:, r])
             dkh += tile.transpose(0, 2, 1) @ qh[:, r]
+        dk = _merge_heads(dkh)
         dq *= s
         dk *= s
-        return dq, dk, _merge_heads(p.transpose(0, 2, 1) @ gh)
+        return dq, dk, _merge_heads(dvh)
 
     return DiffNode(out, (q, k, v), vjp)
 

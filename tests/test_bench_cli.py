@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,6 +57,21 @@ class TestBenchConfig:
     def test_negative_warmup_rejected(self):
         with pytest.raises(ValueError):
             BenchConfig(warmup=-1)
+
+
+class TestBench:
+    def test_every_variant_reports_its_peak_memory(self):
+        variants = bench.run_bench(BenchConfig(model=TINY, warmup=0, iters=1))["variants"]
+        assert all(v["peak_mb"] > 0 for v in variants.values())
+        assert variants["multi_grained"]["peak_mb"] >= variants["multi_grained_pruned"]["peak_mb"]
+
+    def test_a_running_trace_stays_on(self):
+        tracemalloc.start()
+        try:
+            bench.run_bench(BenchConfig(model=TINY, warmup=0, iters=1))
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
 
 
 class TestBaselineVariant:

@@ -670,21 +670,19 @@ class TestAttention:
         k, v = rng.normal(size=(nk, 32)), rng.normal(size=(nk, 32))
         node = attention(constant(q), constant(k), constant(v), heads)
         grads = node._vjp(g)
-        want, want_vjp = whole_array_attention(q, k, v, heads)
-        assert np.array_equal(node.value, want)
-        # dv is the same product as the whole-array op's
-        assert np.array_equal(grads[2], want_vjp(g)[2])
-        # dq and dk follow another sum order than the whole-array formulas:
-        # compare with them in extended precision, each relative to its own
-        # largest entry. At nk = 1 the exact dq and dk are 0 and the row dots
-        # leave rounding noise, so the scale there is that of the products'
-        # absolute terms, |g||v|ᵀ|k| and (|g||v|ᵀ)ᵀ|q|
+        assert np.array_equal(node.value, whole_array_attention(q, k, v, heads)[0])
+        # the VJP recomputes the softmax per query tile and sums dv over the
+        # tiles, so every gradient follows another sum order than the
+        # whole-array formulas: compare with them in extended precision, each
+        # relative to its own largest entry. At nk = 1 the exact dq and dk are
+        # 0 and the row dots leave rounding noise, so the scale there is that
+        # of the products' absolute terms, |g||v|ᵀ|k| and (|g||v|ᵀ)ᵀ|q|
         _, exact_vjp = whole_array_attention(*(x.astype(np.longdouble) for x in (q, k, v)),
                                              heads)
         refs = exact_vjp(g.astype(np.longdouble))
         qa, ka, va, ga = (np.abs(_split_heads(x, heads)) for x in (q, k, v, g))
         terms = ga @ va.transpose(0, 2, 1) / np.sqrt(32 // heads)
-        floors = (terms @ ka, terms.transpose(0, 2, 1) @ qa)
+        floors = (terms @ ka, terms.transpose(0, 2, 1) @ qa, np.abs(refs[2]))  # dv is never 0
         for got, ref, floor in zip(grads, refs, floors):
             scale = np.abs(ref).max() or floor.max()
             assert np.abs(got - ref).max() <= 1e-13 * scale
@@ -692,9 +690,22 @@ class TestAttention:
         for got, again in zip(grads, node._vjp(g)):
             assert np.array_equal(got, again)
 
+    def test_node_keeps_no_score_array(self):
+        # the node keeps one log-sum-exp per query row, not the softmax
+        n, heads = 768, 4
+        rng = np.random.default_rng(0)
+        q, k, v = (constant(rng.normal(size=(n, 32))) for _ in range(3))
+        tracemalloc.start()
+        try:
+            node = attention(q, k, v, heads)
+            kept = tracemalloc.get_traced_memory()[0] - node.value.nbytes
+        finally:
+            tracemalloc.stop()
+        assert kept < 0.05 * heads * n * n * 8
+
     def test_vjp_peak_memory_stays_near_two_score_arrays(self):
-        # the softmax p lives on; the VJP adds one (heads, Nq, Nk) gradient
-        # and tile-sized temporaries, not a second full-size (g * p)
+        # the VJP recomputes the softmax and forms the logit gradient in
+        # tile-sized buffers, with no full-size (heads, Nq, Nk) array
         n, heads = 768, 4
         rng = np.random.default_rng(0)
         q, k, v, g = (rng.normal(size=(n, 32)) for _ in range(4))
@@ -748,6 +759,9 @@ class TestAttention:
         (((5, 8), (7, 8), (7, 8)), 3),   # heads do not divide the width
         (((5, 8), (7, 8), (7, 8)), 0),
         (((5, 8, 1), (7, 8), (7, 8)), 2),
+        (((0, 8), (7, 8), (7, 8)), 2),   # no query rows
+        (((5, 8), (0, 8), (0, 8)), 2),   # no key rows
+        (((5, 0), (7, 0), (7, 0)), 2),   # no columns
     ])
     def test_bad_shapes_rejected(self, shapes, heads):
         q, k, v = (constant(np.zeros(s)) for s in shapes)
