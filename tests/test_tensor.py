@@ -1,5 +1,7 @@
 import itertools
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -440,6 +442,37 @@ class TestLayerNormRows:
         got = (node.value,) + tuple(node._vjp(g))
         for a, b in zip(got, mean_var_layer_norm(xv, gv, bv, g)):
             assert np.array_equal(a, b)
+
+
+def exact_gelu(x):
+    """x Phi(x) and its derivative Phi(x) + x phi(x), from the stdlib's erf."""
+    cdf = np.array([0.5 * (1.0 + math.erf(v / math.sqrt(2.0))) for v in x])
+    pdf = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    return x * cdf, cdf + x * pdf
+
+
+class TestGelu:
+    def test_within_tanh_approximation_error_of_exact_gelu(self):
+        xv = np.linspace(-10.0, 10.0, 20_001)
+        x = constant(xv)
+        y = gelu(x)
+        backward(sum_all(y))
+        value, slope = exact_gelu(xv)
+        # the tanh form's largest errors: 4.73e-4 near x = 2.70, 8.7e-4 near x = 2.02
+        assert np.max(np.abs(y.value - value)) < 5e-4
+        assert np.max(np.abs(x.grad - slope)) < 1e-3
+
+    def test_huge_inputs_saturate_without_warning(self):
+        # tanh is exactly +-1 from |x| of about 7.2, on both sides of the clip at 10
+        big = np.concatenate([[1e200, 1e300, np.finfo(float).max], np.geomspace(7.5, 1e150, 50)])
+        xv = np.concatenate([big, -big])
+        with warnings.catch_warnings(), np.errstate(all="raise"):
+            warnings.simplefilter("error")
+            y = gelu(constant(xv))
+            (grad,) = y._vjp(np.ones_like(xv))
+        n = big.size
+        assert np.array_equal(y.value, np.concatenate([big, np.zeros(n)]))
+        assert np.array_equal(grad, np.concatenate([np.ones(n), np.zeros(n)]))
 
 
 class TestBackward:
