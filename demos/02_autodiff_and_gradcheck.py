@@ -46,10 +46,11 @@ err = finite_diff_check(f, rng.normal(scale=0.3, size=(6, 8)), eps=1e-5)
 print(f"finite-difference check: max relative error {err:.3e}")
 assert err < 1e-6
 
-# upsampling is differentiable too, and its MACs are counted
-img = constant(rng.normal(size=(4, 4, 2)))
+# upsampling is differentiable too, and its MACs are counted; it takes a
+# 4x4 grid of 2-channel tokens as 16 rows, laid out row-major
+img = constant(rng.normal(size=(16, 2)))
 with mac_tally() as tally:
-    big = upsample_bilinear(img, 4)
+    big = upsample_bilinear(img, (4, 4), 4)
 backward(mean_all(big))
 print(f"4x bilinear upsample: {img.shape} -> {big.shape}, "
       f"{tally.macs} MACs, grad sums to {img.grad.sum():.6f}")

@@ -23,19 +23,20 @@ from .model import (
     TrainingError,
     _descend,
     _mean_loss,
-    _upsample_grid,
     decode_head,
     forward_full,
     init_model_params,
     patch_embed_backbone,
 )
 from .attention import spatio_temporal_block, transformer_block
+from .dpc import _check_int
 from .synth import DEFAULT_PARENTS, SynthScene, make_triplet_sample
 from .tensor import (
     _central_diff,
     backward,
     gather_rows,
     mac_tally,
+    upsample_bilinear,
 )
 
 __all__ = [
@@ -59,10 +60,8 @@ class BenchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.iters < 1:
-            raise ValueError(f"timed iterations must be >= 1, got {self.iters}")
-        if self.warmup < 0:
-            raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        _check_int("timed iterations", self.iters, 1)
+        _check_int("warmup", self.warmup, 0)
 
 
 def _with_eps(cfg: ModelConfig, eps_hrb: int | None, eps_lrb: int | None) -> ModelConfig:
@@ -96,7 +95,7 @@ def forward_baseline(triplet: FrameTriplet, cfg: ModelConfig, params: ModelParam
         joint = transformer_block(joint, b)
     n = cfg.tokens_per_frame
     key = gather_rows(joint, np.arange(n, 2 * n))
-    return decode_head(_upsample_grid(key, cfg), cfg, params)
+    return decode_head(upsample_bilinear(key, cfg.grid, cfg.upsample_factor), cfg, params)
 
 
 def _time_variant(fn, warmup: int, iters: int):
@@ -176,8 +175,8 @@ def run_train_smoke(cfg: ModelConfig, steps: int = 200, lr: float = 0.03,
 
     Succeeds when the final loss drops to half the initial loss or less.
     """
-    if steps < 1 or batch < 1:
-        raise ValueError(f"steps and batch must be >= 1, got {steps} and {batch}")
+    _check_int("steps", steps, 1)
+    _check_int("batch", batch, 1)
     params = init_model_params(cfg, seed)
     image_size = (max(64, cfg.image_size[0]), max(64, cfg.image_size[1]))
     samples = [_sample(cfg, seed + 1000 * b, image_size=image_size) for b in range(batch)]
@@ -199,10 +198,8 @@ def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
     ratios = list(ratios)
     if not ratios or any(r < 1 for r in ratios):
         raise ValueError(f"ratios must be nonempty and >= 1, got {ratios}")
-    if iters < 1:
-        raise ValueError(f"timed iterations must be >= 1, got {iters}")
-    if train_steps < 0:
-        raise ValueError(f"training steps must be >= 0, got {train_steps}")
+    _check_int("timed iterations", iters, 1)
+    _check_int("training steps", train_steps, 0)
     if not lr >= 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
     triplet, target = _sample(cfg, seed)  # a pruning ratio does not change it

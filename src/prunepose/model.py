@@ -32,8 +32,7 @@ from .tensor import (
     matmul,
     mean_all,
     mul,
-    permute,
-    reshape,
+    rows_to_maps,
     scale,
     scatter_rows,
     sub,
@@ -232,14 +231,6 @@ def patch_embed_backbone(triplet: FrameTriplet, cfg: ModelConfig,
     return out
 
 
-def _upsample_grid(tokens: DiffNode, cfg: ModelConfig) -> DiffNode:
-    """One frame's (gh*gw, C) token matrix as its grid, upsampled by
-    ``cfg.upsample_factor`` and read back as the (hr_tokens, C) matrix."""
-    gh, gw = cfg.grid
-    grid = upsample_bilinear(reshape(tokens, (gh, gw, cfg.embed_dim)), cfg.upsample_factor)
-    return reshape(grid, (cfg.hr_tokens, cfg.embed_dim))
-
-
 def _prune_and_refine(tokens: DiffNode, dpc_cfg: DpcConfig, params: ModelParams,
                       selection: PruneSelection | None):
     """Keep the rows ``selection`` names (chosen by density peaks under
@@ -257,9 +248,9 @@ def high_res_branch(f_t: DiffNode, cfg: ModelConfig, params: ModelParams,
                     selection: PruneSelection | None = None):
     """Upsample the key frame tokens, prune, refine with the shared blocks.
 
-    Returns (refined tokens, selection, full pre-pruning grid).
+    Returns (refined tokens, selection, the full grid's rows before pruning).
     """
-    flat = _upsample_grid(f_t, cfg)
+    flat = upsample_bilinear(f_t, cfg.grid, cfg.upsample_factor)
     if params.hr_pos_embed is not None:
         flat = add(flat, params.hr_pos_embed)
     return (*_prune_and_refine(flat, cfg.hr_cfg, params, selection), flat)
@@ -283,9 +274,7 @@ def fuse_and_decode(f_f: DiffNode, sel_f: PruneSelection, hr_grid: DiffNode,
 def decode_head(dense: DiffNode, cfg: ModelConfig, params: ModelParams) -> DiffNode:
     """Project each of the hr grid's rows to per-joint scores, as (J, H, W) maps."""
     hidden = gelu(matmul(dense, params.head_w1, params.head_b1))
-    logits = matmul(hidden, params.head_w2, params.head_b2)
-    hh, hw = cfg.heatmap_size
-    return permute(reshape(logits, (hh, hw, cfg.joints)), (2, 0, 1))
+    return rows_to_maps(matmul(hidden, params.head_w2, params.head_b2), cfg.heatmap_size)
 
 
 def heatmap_loss(h, g) -> DiffNode:
@@ -361,19 +350,20 @@ def train_step(triplet: FrameTriplet, target, cfg: ModelConfig,
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(path, params: ModelParams):
-    payload = {
-        "magic": CHECKPOINT_MAGIC,
-        "params": {
-            name: {"shape": list(p.shape), "data": p.value.ravel().tolist()}
-            for name, p in params.named_parameters()
-        },
-    }
+    """Write every parameter as a JSON list of floats. A non-finite value, which
+    JSON cannot hold, raises ValueError naming its parameter before any write."""
+    stored = {}
+    for name, p in params.named_parameters():
+        if not np.isfinite(p.value).all():
+            raise ValueError(f"{name}: non-finite values cannot be saved")
+        stored[name] = {"shape": list(p.shape), "data": p.value.ravel().tolist()}
     with open(path, "w") as fh:
-        json.dump(payload, fh)
+        json.dump({"magic": CHECKPOINT_MAGIC, "params": stored}, fh, allow_nan=False)
 
 
 def load_checkpoint(path, params: ModelParams):
-    """Restore parameter values in place; names and shapes must match exactly."""
+    """Restore parameter values in place; names and shapes must match exactly,
+    and every value must be finite. Nothing is restored unless all of it is."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or not isinstance(payload.get("params"), dict):
@@ -384,11 +374,22 @@ def load_checkpoint(path, params: ModelParams):
     extra = stored.keys() - {name for name, _ in named}
     if extra:
         raise KeyError(f"checkpoint has parameters the model lacks: {sorted(extra)}")
+    values = []
     for name, p in named:
         if name not in stored:
             raise KeyError(f"checkpoint missing parameter {name!r}")
         entry = stored[name]
-        if tuple(entry["shape"]) != p.shape:
-            raise ShapeError(f"{name}: checkpoint shape {entry['shape']} != {p.shape}")
-        p.value[...] = np.array(entry["data"]).reshape(p.shape)
+        if not isinstance(entry, dict) or not isinstance(entry.get("data"), list):
+            raise ValueError(f"{name}: checkpoint entry is not an object with a \"data\" list")
+        if entry.get("shape") != list(p.shape):
+            raise ShapeError(f"{name}: checkpoint shape {entry.get('shape')} != {p.shape}")
+        try:
+            data = np.array(entry["data"], dtype=np.float64).reshape(p.shape)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ValueError(f"{name}: checkpoint data is not {p.value.size} numbers") from e
+        if not np.isfinite(data).all():
+            raise ValueError(f"{name}: checkpoint data holds a non-finite value")
+        values.append(data)
+    for (_, p), value in zip(named, values):
+        p.value[...] = value
     return params

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dpc import _check_int
 from .model import FrameTriplet
 from .tensor import _bilinear, _bilinear_axis, _corners
 
@@ -50,7 +51,8 @@ class SynthScene:
     image_size: tuple = (256, 256)  # (H, W)
 
     def __post_init__(self):
-        if not (1 <= self.joints <= len(DEFAULT_PARENTS)):
+        _check_int("joints", self.joints, 1)
+        if self.joints > len(DEFAULT_PARENTS):
             raise ValueError(f"joints must be in [1, {len(DEFAULT_PARENTS)}], got {self.joints}")
         if self.amplitude < 0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")

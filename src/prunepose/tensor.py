@@ -46,8 +46,7 @@ __all__ = [
     "gather_rows",
     "scatter_rows",
     "concat_rows",
-    "reshape",
-    "permute",
+    "rows_to_maps",
     "finite_diff_check",
     "mac_tally",
 ]
@@ -219,6 +218,7 @@ def mean_all(a: DiffNode) -> DiffNode:
 
 
 ROW_TILE = 64  # query rows per tile in attention's softmax and its VJP
+LAYER_NORM_EPS = 1e-5  # added to each row's variance in layer_norm_rows
 
 
 def _softmax(x: np.ndarray, lse: np.ndarray | None = None) -> np.ndarray:
@@ -391,8 +391,7 @@ def gelu(x: DiffNode) -> DiffNode:
     return DiffNode(out, (x,), vjp)
 
 
-def layer_norm_rows(x: DiffNode, gain: DiffNode, bias: DiffNode,
-                    eps: float = 1e-5) -> DiffNode:
+def layer_norm_rows(x: DiffNode, gain: DiffNode, bias: DiffNode) -> DiffNode:
     """Normalize each row of a 2-D node, then apply elementwise gain and bias."""
     xv = x.value
     if xv.ndim != 2:
@@ -402,7 +401,7 @@ def layer_norm_rows(x: DiffNode, gain: DiffNode, bias: DiffNode,
     mu = np.add.reduce(xv, axis=1, keepdims=True) / n
     xc = xv - mu
     var = np.add.reduce(xc * xc, axis=1, keepdims=True) / n
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = xc * inv
     gv, bv = gain.value, bias.value
     out = xhat * gv + bv
@@ -474,26 +473,28 @@ def _bilinear(image: np.ndarray, corners) -> np.ndarray:
     return out
 
 
-def upsample_bilinear(x: DiffNode, factor: int) -> DiffNode:
-    """Upsample an HxWxC node by an integer factor per spatial side."""
-    if not isinstance(factor, (int, np.integer)) or factor < 1:
+def upsample_bilinear(x: DiffNode, grid, factor: int) -> DiffNode:
+    """Upsample (H*W, C) rows, laid out row-major over ``grid = (H, W)``, by an
+    integer factor per spatial side: (H*f * W*f, C) rows, row-major over (H*f, W*f)."""
+    if isinstance(factor, bool) or not isinstance(factor, (int, np.integer)) or factor < 1:
         raise ValueError(f"upsample factor must be a positive integer, got {factor!r}")
     xv = x.value
-    if xv.ndim != 3:
-        raise ShapeError(f"upsample_bilinear expects HxWxC, got shape {xv.shape}")
-    h, w, _ = xv.shape
+    h, w = grid
+    if xv.ndim != 2 or xv.shape[0] != h * w:
+        raise ShapeError(f"upsample_bilinear expects {h}*{w} rows, got shape {xv.shape}")
+    image = xv.reshape(h, w, xv.shape[1])
     corners = _corners(_bilinear_axis(0, h, h, h * factor),
                        _bilinear_axis(0, w, w, w * factor))
-    out = _bilinear(xv, corners)
+    out = _bilinear(image, corners)
     _record_macs(4 * out.size)
 
     def vjp(g):
-        gx = np.zeros_like(xv)
+        gx, g = np.zeros_like(image), g.reshape(out.shape)
         for (ys, xs), (fy, fx) in corners:
             np.add.at(gx, np.ix_(ys, xs), fy * fx * g)
-        return (gx,)
+        return (gx.reshape(xv.shape),)
 
-    return DiffNode(out, (x,), vjp)
+    return DiffNode(out.reshape(-1, xv.shape[1]), (x,), vjp)
 
 
 def _check_row_indices(idx, n: int) -> np.ndarray:
@@ -557,17 +558,15 @@ def concat_rows(nodes: Sequence[DiffNode]) -> DiffNode:
     return DiffNode(out, tuple(nodes), vjp)
 
 
-def reshape(x: DiffNode, shape) -> DiffNode:
+def rows_to_maps(x: DiffNode, grid) -> DiffNode:
+    """(H*W, J) rows, laid out row-major over ``grid = (H, W)``, as (J, H, W)
+    maps: column j becomes map j."""
     xv = x.value
-    out = xv.reshape(shape)
-    return DiffNode(out.copy(), (x,), lambda g: (g.reshape(xv.shape),))
-
-
-def permute(x: DiffNode, axes) -> DiffNode:
-    axes = tuple(axes)
-    inverse = tuple(np.argsort(axes))
-    out = np.transpose(x.value, axes)
-    return DiffNode(out.copy(), (x,), lambda g: (np.transpose(g, inverse),))
+    h, w = grid
+    if xv.ndim != 2 or xv.shape[0] != h * w:
+        raise ShapeError(f"rows_to_maps expects {h}*{w} rows, got shape {xv.shape}")
+    out = xv.T.reshape(xv.shape[1], h, w)
+    return DiffNode(out, (x,), lambda g: (g.reshape(xv.shape[1], -1).T,))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from prunepose.model import (
     low_res_branch,
 )
 from prunepose.synth import SynthScene, make_triplet_sample
-from prunepose.tensor import constant, softmax_rows
+from prunepose.tensor import ROW_TILE, attention, constant, softmax_rows
 
 from dpc_oracle import oracle_scores
 
@@ -100,6 +100,16 @@ class TestAcceptance:
                     logits = q[:, h * d:(h + 1) * d] @ k[:, h * d:(h + 1) * d].T / np.sqrt(d)
                     s = softmax_rows(constant(logits)).value
                     ok &= bool(np.all(np.abs(s.sum(axis=1) - 1.0) <= 1e-9))
+        # and through the attention op itself: with v all ones, each output
+        # entry is one row sum of its head's softmax. 130 query rows span
+        # three of its row tiles
+        fine, coarse = rng.normal(size=(2 * ROW_TILE + 2, 8)), rng.normal(size=(6, 8))
+        for q_src, k_src in ((fine[:4], fine[:4]), (fine[:4], coarse),
+                             (fine, fine), (fine, coarse)):
+            w_q, w_k = rng.normal(size=(8, 8)), rng.normal(size=(8, 8))
+            out = attention(constant(q_src @ w_q), constant(k_src @ w_k),
+                            constant(np.ones((len(k_src), 8))), 2).value
+            ok &= bool(np.all(np.abs(out - 1.0) <= 1e-9))
         report("4 softmax rows sum to 1 +/- 1e-9", ok)
 
     def test_05_speedup_trend(self):

@@ -40,8 +40,6 @@ from prunepose.tensor import (
     gather_rows,
     gelu,
     matmul,
-    permute,
-    reshape,
     upsample_bilinear,
 )
 
@@ -57,6 +55,12 @@ class TestBenchConfig:
     def test_negative_warmup_rejected(self):
         with pytest.raises(ValueError):
             BenchConfig(warmup=-1)
+
+    @pytest.mark.parametrize("field", ["iters", "warmup"])
+    @pytest.mark.parametrize("value", [2.5, True, 2.0])
+    def test_non_integer_counts_rejected(self, field, value):
+        with pytest.raises(ValueError, match="integer"):
+            BenchConfig(**{field: value})
 
 
 class TestBench:
@@ -93,15 +97,13 @@ class TestBaselineVariant:
             joint = transformer_block(joint, b)
         n = cfg.tokens_per_frame
         key = gather_rows(joint, np.arange(n, 2 * n))
-        gh, gw = cfg.grid
-        grid = upsample_bilinear(reshape(key, (gh, gw, cfg.embed_dim)), cfg.upsample_factor)
-        dense = reshape(grid, (cfg.hr_tokens, cfg.embed_dim))
+        dense = upsample_bilinear(key, cfg.grid, cfg.upsample_factor)
         hidden = gelu(add(matmul(dense, params.head_w1), params.head_b1))
         logits = add(matmul(hidden, params.head_w2), params.head_b2)
         hh, hw = cfg.heatmap_size
-        want = permute(reshape(logits, (hh, hw, cfg.joints)), (2, 0, 1))
+        want = logits.value.reshape(hh, hw, cfg.joints).transpose(2, 0, 1)
         got = forward_baseline(triplet, cfg, params)
-        assert np.array_equal(got.value, want.value)
+        assert np.array_equal(got.value, want)
 
 
 class TestRatioGrid:
@@ -122,6 +124,11 @@ class TestRatioGrid:
     def test_empty_ratios_rejected(self):
         with pytest.raises(ValueError):
             run_ratio_grid(SMALL_GRID, ratios=())
+
+    @pytest.mark.parametrize("count", [dict(iters=2.5), dict(iters=True), dict(train_steps=1.5)])
+    def test_non_integer_counts_rejected(self, count):
+        with pytest.raises(ValueError, match="integer"):
+            run_ratio_grid(SMALL_GRID, ratios=(1,), **count)
 
     def test_sample_built_once_per_grid(self, monkeypatch):
         calls = []
@@ -221,6 +228,11 @@ class TestGradcheckCommand:
 
 
 class TestTrainSmoke:
+    @pytest.mark.parametrize("count", [dict(steps=2.5), dict(batch=True)])
+    def test_non_integer_counts_rejected(self, count):
+        with pytest.raises(ValueError, match="integer"):
+            run_train_smoke(TINY, **count)
+
     def test_zero_lr_flat_curve_fails_threshold(self):
         report = run_train_smoke(TINY, steps=5, lr=0.0, batch=1)
         assert not report["passed"]

@@ -18,7 +18,6 @@ from prunepose.model import (
     init_model_params,
     load_checkpoint,
     low_res_branch,
-    _upsample_grid,
     patch_embed_backbone,
     save_checkpoint,
     train_step,
@@ -32,6 +31,7 @@ from prunepose.tensor import (
     gather_rows,
     mac_tally,
     mean_all,
+    upsample_bilinear,
 )
 
 
@@ -106,7 +106,7 @@ def inline_branches(frames, cfg, params, hr_sel, lr_sel):
     """Reference: both branches as written before they shared one
     prune-and-refine step; returns (hr tokens, hr selection, hr grid,
     lr tokens, lr selection)."""
-    flat = _upsample_grid(frames[1], cfg)
+    flat = upsample_bilinear(frames[1], cfg.grid, cfg.upsample_factor)
     if params.hr_pos_embed is not None:
         flat = add(flat, params.hr_pos_embed)
     if hr_sel is None:
@@ -330,9 +330,9 @@ class TestGraphSize:
     def test_tiny_forward_loss_graph(self, tiny_sample):
         triplet, target, _ = tiny_sample
         loss = heatmap_loss(forward_full(triplet, TINY, init_model_params(TINY, 0)), target)
-        assert graph_nodes(loss) == 242
+        assert graph_nodes(loss) == 239
 
-    @pytest.mark.parametrize("pos_embed,nodes", [(True, 238), (False, 236)])
+    @pytest.mark.parametrize("pos_embed,nodes", [(True, 235), (False, 233)])
     def test_default_heatmap_graph(self, default_setup, pos_embed, nodes):
         cfg, _, triplet, _ = default_setup
         cfg = replace(cfg, add_hr_pos_embed=pos_embed)
@@ -487,6 +487,48 @@ class TestCheckpoint:
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(ValueError):
+            load_checkpoint(path, init_model_params(TINY, 0))
+
+
+    def test_non_finite_parameter_not_saved(self, tmp_path):
+        params = init_model_params(TINY, 0)
+        params.head_b2.value[1] = np.nan
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="head_b2"):
+            save_checkpoint(path, params)
+        assert not path.exists()
+
+    @staticmethod
+    def _saved_payload(tmp_path):
+        path = tmp_path / "model.json"
+        save_checkpoint(path, init_model_params(TINY, 0))
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_value_rejected_by_name(self, text, tmp_path):
+        path, payload = self._saved_payload(tmp_path)
+        raw = json.dumps(payload).replace('"head_b2": {"shape": [2], "data": [0.0, 0.0]}',
+                                          '"head_b2": {"shape": [2], "data": [0.0, %s]}' % text)
+        assert text in raw
+        path.write_text(raw)
+        params = init_model_params(TINY, 1)
+        before = [p.value.copy() for _, p in params.named_parameters()]
+        with pytest.raises(ValueError, match="head_b2"):
+            load_checkpoint(path, params)
+        assert all(np.array_equal(b, p.value)
+                   for b, (_, p) in zip(before, params.named_parameters()))
+
+    @pytest.mark.parametrize("entry", [
+        {"shape": [2]}, [0.0, 0.0], {"data": [0.0, 0.0]}, {"shape": 2, "data": [0.0, 0.0]},
+        {"shape": [2], "data": [0.0, "x"]}, {"shape": [2], "data": [0.0]},
+        {"shape": [2], "data": [0, 10**400]},
+    ], ids=["no-data", "a-list", "no-shape", "shape-not-a-list", "not-numbers", "too-few",
+            "int-past-float"])
+    def test_malformed_entry_rejected_by_name(self, entry, tmp_path):
+        path, payload = self._saved_payload(tmp_path)
+        payload["params"]["head_b2"] = entry
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="head_b2"):
             load_checkpoint(path, init_model_params(TINY, 0))
 
 

@@ -123,6 +123,11 @@ class TestGenerateSequence:
         with pytest.raises(ValueError):
             SynthScene(joints=0)
 
+    @pytest.mark.parametrize("joints", [2.5, True, 2.0, "3", 16])
+    def test_joints_that_are_not_a_skeleton_count_rejected(self, joints):
+        with pytest.raises(ValueError, match="joints"):
+            SynthScene(joints=joints)
+
 
 class TestBoxes:
     def test_expand_25_percent(self):

@@ -32,7 +32,7 @@ from prunepose.tensor import (
     matmul,
     mean_all,
     mul,
-    reshape,
+    rows_to_maps,
     scale,
     scatter_rows,
     softmax_rows,
@@ -313,31 +313,47 @@ class TestBilinear:
                                   ix_bilinear(image, rows, cols)), (y, h, x, w)
 
 
+def rows(x):
+    """An HxWxC array as the (H*W, C) rows ``upsample_bilinear`` takes."""
+    return x.reshape(-1, x.shape[2])
+
+
 class TestUpsampleBilinear:
     def test_constant_preserved(self):
-        x = np.full((2, 2, 1), 7.0)
-        out = upsample_bilinear(constant(x), 4).value
-        assert out.shape == (8, 8, 1)
+        x = np.full((4, 1), 7.0)
+        out = upsample_bilinear(constant(x), (2, 2), 4).value
+        assert out.shape == (64, 1)
         assert np.all(out == 7.0)
 
     def test_factor_one_identity(self):
-        x = np.random.default_rng(1).normal(size=(3, 4, 2))
-        out = upsample_bilinear(constant(x), 1).value
+        x = np.random.default_rng(1).normal(size=(12, 2))
+        out = upsample_bilinear(constant(x), (3, 4), 1).value
         assert np.array_equal(out, x)
 
     def test_factor_zero_rejected(self):
         with pytest.raises(ValueError):
-            upsample_bilinear(constant(np.zeros((2, 2, 1))), 0)
+            upsample_bilinear(constant(np.zeros((4, 1))), (2, 2), 0)
+
+    @pytest.mark.parametrize("factor", [True, False, 2.0])
+    def test_bool_or_float_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="positive integer"):
+            upsample_bilinear(constant(np.zeros((4, 1))), (2, 2), factor)
+
+    @pytest.mark.parametrize("shape,grid", [((5, 2), (2, 2)), ((4, 2), (4, 4)),
+                                            ((2, 2, 2), (2, 2)), ((4,), (2, 2))])
+    def test_rows_that_do_not_fill_the_grid_rejected(self, shape, grid):
+        with pytest.raises(ShapeError, match="rows"):
+            upsample_bilinear(constant(np.zeros(shape)), grid, 2)
 
     def test_matches_interpolation_oracle(self):
         x = np.arange(8.0).reshape(2, 2, 2)
-        out = upsample_bilinear(constant(x), 2).value
-        assert np.allclose(out, upsample_oracle(x, 2), rtol=0, atol=1e-12)
+        out = upsample_bilinear(constant(rows(x)), (2, 2), 2).value
+        assert np.allclose(out, rows(upsample_oracle(x, 2)), rtol=0, atol=1e-12)
 
     def test_matches_oracle_random(self):
         x = np.random.default_rng(5).normal(size=(3, 2, 4))
-        out = upsample_bilinear(constant(x), 3).value
-        assert np.allclose(out, upsample_oracle(x, 3), rtol=0, atol=1e-12)
+        out = upsample_bilinear(constant(rows(x)), (3, 2), 3).value
+        assert np.allclose(out, rows(upsample_oracle(x, 3)), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("factor", [1, 2, 3, 4, 5])
     def test_vjp_bit_identical_to_repeat_tile_reference(self, factor):
@@ -349,9 +365,9 @@ class TestUpsampleBilinear:
             xv = rng.normal(size=shape) * 10.0 ** rng.uniform(-3, 3)
             g = rng.normal(size=(shape[0] * factor, shape[1] * factor, shape[2]))
             g *= 10.0 ** rng.uniform(-3, 3)
-            x = constant(xv)
-            backward(sum_all(mul(upsample_bilinear(x, factor), constant(g))))
-            assert np.array_equal(x.grad, repeat_tile_upsample_vjp(xv, factor, g)), shape
+            x = constant(rows(xv))
+            backward(sum_all(mul(upsample_bilinear(x, shape[:2], factor), constant(rows(g)))))
+            assert np.array_equal(x.grad, rows(repeat_tile_upsample_vjp(xv, factor, g))), shape
 
 
     @pytest.mark.parametrize("factor", [1, 2, 3, 4])
@@ -359,18 +375,33 @@ class TestUpsampleBilinear:
         rng = np.random.default_rng(10 + factor)
         for shape in [(1, 1, 1), (1, 5, 2), (4, 1, 3), (7, 9, 3), (16, 12, 32)]:
             h, w, _ = shape
-            rows = _bilinear_axis(0, h, h, h * factor)
+            rows_at = _bilinear_axis(0, h, h, h * factor)
             cols = _bilinear_axis(0, w, w, w * factor)
             xv = rng.normal(size=shape)
             g = rng.normal(size=(h * factor, w * factor, shape[2]))
-            x = constant(xv)
-            out = upsample_bilinear(x, factor)
-            assert np.array_equal(out.value, ix_bilinear(xv, rows, cols)), shape
-            backward(sum_all(mul(out, constant(g))))
+            x = constant(rows(xv))
+            out = upsample_bilinear(x, (h, w), factor)
+            assert np.array_equal(out.value, rows(ix_bilinear(xv, rows_at, cols))), shape
+            backward(sum_all(mul(out, constant(rows(g)))))
             want = np.zeros_like(xv)
-            for idx, weight in ix_corners(rows, cols):
+            for idx, weight in ix_corners(rows_at, cols):
                 np.add.at(want, idx, weight * g)
-            assert np.array_equal(x.grad, want), shape
+            assert np.array_equal(x.grad, rows(want)), shape
+
+
+class TestRowsToMaps:
+    def test_value_and_vjp_equal_reshape_then_transpose(self):
+        rng = np.random.default_rng(21)
+        x, g = rng.normal(size=(12, 5)), rng.normal(size=(5, 3, 4))
+        node = rows_to_maps(constant(x), (3, 4))
+        assert np.array_equal(node.value, x.reshape(3, 4, 5).transpose(2, 0, 1))
+        (gx,) = node._vjp(g)
+        assert np.array_equal(gx, g.transpose(1, 2, 0).reshape(12, 5))
+
+    @pytest.mark.parametrize("shape,grid", [((11, 5), (3, 4)), ((3, 4, 5), (3, 4)), ((12,), (3, 4))])
+    def test_rows_that_do_not_fill_the_grid_rejected(self, shape, grid):
+        with pytest.raises(ShapeError, match="rows"):
+            rows_to_maps(constant(np.zeros(shape)), grid)
 
 
 class TestGatherScatter:
@@ -620,8 +651,10 @@ class TestFiniteDiffCheck:
     @pytest.mark.parametrize("name,f", [
         ("softmax", lambda x: sum_all(mul(softmax_rows(x), constant(np.arange(12.0).reshape(3, 4))))),
         ("gelu", lambda x: sum_all(gelu(x))),
-        ("upsample", lambda x: sum_all(mul(u := upsample_bilinear(reshape(x, (3, 4, 1)), 2),
-                                           constant(np.arange(48.0).reshape(6, 8, 1))))),
+        ("upsample", lambda x: sum_all(mul(upsample_bilinear(x, (3, 1), 2),
+                                           constant(np.arange(48.0).reshape(12, 4))))),
+        ("rows_to_maps", lambda x: sum_all(mul(rows_to_maps(x, (3, 1)),
+                                               constant(np.arange(12.0).reshape(4, 3, 1))))),
         ("mean", mean_all),
         ("sub_mul", lambda x: mean_all(mul(sub(x, constant(np.ones((3, 4)))), x))),
     ])
