@@ -56,7 +56,7 @@ REPORT_SCHEMA = "prunepose-report-v1"
 class BenchConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     warmup: int = 1
-    iters: int = 3
+    iters: int = 10
     seed: int = 0
 
     def __post_init__(self):

@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="time the baseline / unpruned / pruned variants")
     _add_common(p, *_MODEL_FLAGS)
-    p.add_argument("--iters", type=int, default=3, help="timed iterations")
+    p.add_argument("--iters", type=int, default=10, help="timed iterations")
     p.add_argument("--warmup", type=int, default=1)
 
     p = sub.add_parser("ratio-grid", help="loss/speed over a grid of pruning ratios")
