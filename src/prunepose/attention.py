@@ -11,6 +11,7 @@ import numpy as np
 from .tensor import (
     DiffNode,
     ShapeError,
+    _check_heads,
     add,
     attention,
     concat_rows,
@@ -44,9 +45,7 @@ class AttentionParams:
     heads: int
 
     def __post_init__(self):
-        c = self.w_q.shape[0]
-        if c % self.heads != 0:
-            raise ShapeError(f"width {c} not divisible by {self.heads} heads")
+        _check_heads(self.heads, self.w_q.shape[0])
 
 
 @dataclass

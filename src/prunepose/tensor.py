@@ -8,11 +8,11 @@ An affine layer is one node, because ``matmul`` takes the bias, and ``add``,
 every gradient check lives here too, and so does the one bilinear corner list:
 ``upsample_bilinear``'s forward, its VJP and ``synth``'s crops all read the
 same four (index, weight) corners; the forward gathers them with 1-D takes.
-``attention`` runs its softmax on tiles of ``ROW_TILE`` query rows, which
-stay in cache, while its forward products stay whole-array BLAS calls, so
-tiling changes no forward bit. It keeps one log-sum-exp per query row, not
-the softmax: its VJP recomputes the softmax and forms the logit gradient one
-query tile at a time, so no (heads, Nq, Nk) array outlives a call.
+``attention`` works on tiles of ``ROW_TILE`` query rows in both passes, so
+no (heads, Nq, Nk) array is ever allocated: the forward forms each tile's
+logits, exponentials and share of the output in one reused buffer, and keeps
+one log-sum-exp per query row, not the softmax; its VJP recomputes the
+softmax and forms the logit gradient one query tile at a time.
 """
 
 from __future__ import annotations
@@ -221,18 +221,12 @@ ROW_TILE = 64  # query rows per tile in attention's softmax and its VJP
 LAYER_NORM_EPS = 1e-5  # added to each row's variance in layer_norm_rows
 
 
-def _softmax(x: np.ndarray, lse: np.ndarray | None = None) -> np.ndarray:
+def _softmax(x: np.ndarray) -> np.ndarray:
     """Softmax along the last axis, stabilized by max subtraction, written
-    over ``x``. When given, ``lse`` receives each row's log-sum-exp,
-    max + log(sum), from the same pass."""
-    top = x.max(axis=-1, keepdims=True)
-    x -= top
+    over ``x``."""
+    x -= x.max(axis=-1, keepdims=True)
     np.exp(x, out=x)
-    total = x.sum(axis=-1, keepdims=True)
-    x /= total
-    if lse is not None:
-        np.log(total, out=lse)
-        lse += top
+    x /= x.sum(axis=-1, keepdims=True)
     return x
 
 
@@ -263,21 +257,35 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return x.transpose(1, 0, 2).reshape(x.shape[1], -1)
 
 
+def _check_heads(heads, width: int):
+    """Raise ShapeError unless ``heads`` is an integer >= 1, not a bool, that
+    divides ``width``."""
+    if isinstance(heads, bool) or not isinstance(heads, (int, np.integer)) or heads < 1:
+        raise ShapeError(f"heads must be an integer >= 1, got {heads!r}")
+    if width % heads:
+        raise ShapeError(f"width {width} not divisible by {heads} heads")
+
+
 def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
     """Multi-head scaled dot-product attention, heads split along columns.
 
     ``q`` is (Nq, C) and ``k``, ``v`` are (Nk, C). Head h attends with columns
     h*d:(h+1)*d, d = C // heads, and writes the same columns of the (Nq, C)
-    output. No (heads, Nq, Nk) array outlives the call: the backward pass
-    keeps one log-sum-exp per query row and recomputes the softmax.
+    output. No (heads, Nq, Nk) array is allocated in either pass: the node
+    keeps one log-sum-exp per query row, and the backward pass recomputes
+    the softmax from it.
 
-    The forward softmax is a pass over memory, so it runs on tiles of
-    ``ROW_TILE`` query rows, (heads, ROW_TILE, Nk) slices that stay in cache;
-    its products stay whole-array calls, the same BLAS calls as untiled, so
-    the output's bits do not depend on the tile. Each tile's max and sum give
-    the rows' log-sum-exp L. The VJP works one query tile at a time in two
-    reused (heads, ROW_TILE, Nk) buffers (FlashAttention): P = exp(s·Q Kᵀ − L)
-    is one product of the tile's rows [Q | −L] with [s·K | 1], then
+    The forward works one tile of ``ROW_TILE`` query rows at a time in one
+    reused (heads, ROW_TILE, Nk) buffer: the tile's logits Q (s·K)ᵀ, with the
+    1/sqrt(d) scale s taken by K once, less each row's max, exponentiated in
+    place; their row sums give the log-sum-exp L, and their product with V
+    gives the tile's rows of the output. After the last tile the output rows
+    are divided by their sums, Nq·d divisions, not Nq·Nk. The products are
+    tile-sized BLAS calls, so the output's bits follow the tile size.
+
+    The VJP works one query tile at a time in two reused (heads, ROW_TILE,
+    Nk) buffers (FlashAttention): P = exp(s·Q Kᵀ − L) is one product of the
+    tile's rows [Q | −L] with [s·K | 1], then
     dV += Pᵀ dO. The softmax backward needs only the row dots
     D = rowsum(dP * P), which equal rowsum(dO * O), so [dO | −D] @ [V | 1]ᵀ
     gives dP − D in one product; times P it is the tile's logit gradient,
@@ -293,20 +301,27 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
     for size, what in ((nq, "query rows"), (nk, "key rows"), (c, "columns")):
         if not size:
             raise ShapeError(f"attention got no {what}: q {qv.shape}, k {kv.shape}")
-    if heads < 1 or c % heads:
-        raise ShapeError(f"width {c} not divisible by {heads} heads")
+    _check_heads(heads, c)
     d = c // heads
     qh, kh, vh = (_split_heads(x, heads) for x in (qv, kv, vv))
     s = 1.0 / math.sqrt(d)  # a float, not a numpy scalar: cheaper at tiny sizes
     _record_macs(2 * heads * nq * nk * d)
     tiles = [slice(lo, min(lo + ROW_TILE, nq)) for lo in range(0, nq, ROW_TILE)]
-    p = qh @ kh.transpose(0, 2, 1)
-    lse = np.empty((heads, nq, 1))
+    kst = (kh * s).transpose(0, 2, 1)
+    out = np.empty((nq, c))
+    oh = _split_heads(out, heads)
+    lse, total = np.empty((heads, nq, 1)), np.empty((heads, nq, 1))
+    logits = np.empty((heads, min(nq, ROW_TILE), nk))
     for r in tiles:
-        tile = p[:, r]
-        tile *= s
-        _softmax(tile, lse[:, r])
-    out = _merge_heads(p @ vh)
+        p = np.matmul(qh[:, r], kst, out=logits[:, :r.stop - r.start])
+        top = p.max(axis=-1, keepdims=True)
+        p -= top
+        np.exp(p, out=p)
+        np.sum(p, axis=-1, keepdims=True, out=total[:, r])
+        np.log(total[:, r], out=lse[:, r])
+        lse[:, r] += top
+        np.matmul(p, vh, out=oh[:, r])
+    oh /= total
 
     def vjp(g):
         gh = _split_heads(g, heads)

@@ -4,6 +4,7 @@ import pytest
 from prunepose.attention import (
     AttentionParams,
     cross_attention,
+    init_attention,
     init_block,
     init_spatio_temporal,
     multi_head_self_attention,
@@ -76,6 +77,16 @@ class TestSelfAttention:
     def test_heads_must_divide_width(self):
         with pytest.raises(ShapeError):
             identity_params(3, heads=2)
+
+    @pytest.mark.parametrize("heads", [0, -2, True, 2.0, "2", None])
+    def test_bad_head_counts_rejected(self, heads):
+        with pytest.raises(ValueError, match="heads must be an integer >= 1"):
+            identity_params(4, heads=heads)
+
+    def test_init_with_zero_heads_rejected(self):
+        # 0 heads once reached the width check and divided by zero
+        with pytest.raises(ValueError, match="heads must be an integer >= 1, got 0"):
+            init_attention(np.random.default_rng(0), 8, 0)
 
     def test_bit_identical_to_cross_attention_on_itself(self):
         rng = np.random.default_rng(8)

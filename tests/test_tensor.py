@@ -681,21 +681,46 @@ class TestFiniteDiffCheck:
 
 
 def per_head_attention(q, k, v, heads):
-    """Each head through the 2-D ``softmax_rows`` kernel on contiguous column
-    slices, the heads' outputs joined by columns."""
+    """Each head on its own contiguous column slices, through 2-D products:
+    per tile of ``ROW_TILE`` query rows, the logits against the pre-scaled
+    keys, less their row max, exponentiated, times the values, then divided
+    by the row sums. The heads' outputs are joined by columns."""
     d = q.shape[1] // heads
     outs = []
     for h in range(heads):
         cols = slice(h * d, (h + 1) * d)
         qh, kh, vh = (np.ascontiguousarray(x[:, cols]) for x in (q, k, v))
-        logits = (qh @ np.ascontiguousarray(kh.T)) * (1.0 / np.sqrt(d))
-        outs.append(softmax_rows(constant(logits)).value @ vh)
+        ks = kh * (1.0 / np.sqrt(d))
+        rows = []
+        for lo in range(0, len(q), ROW_TILE):
+            p = qh[lo:lo + ROW_TILE] @ ks.T
+            p = np.exp(p - p.max(axis=1, keepdims=True))
+            rows.append((p @ vh) / p.sum(axis=1, keepdims=True))
+        outs.append(np.concatenate(rows))
     return np.concatenate(outs, axis=1)
 
 
-def whole_array_attention(q, k, v, heads):
-    """The fused op before its softmax ran on row tiles: every pass over the
-    whole (heads, Nq, Nk) array. Returns the output and the VJP."""
+def query_tile_attention(q, k, v, heads):
+    """The forward's arithmetic written out on the stacked (heads, N, d)
+    layout: K scaled by 1/sqrt(d) first, then per tile of ``ROW_TILE`` query
+    rows the logits, less their row max, exponentiated, summed and multiplied
+    by V; the (heads, Nq, d) output is divided by the row sums at the end."""
+    qh, kh, vh = (_split_heads(x, heads) for x in (q, k, v))
+    ks = kh * (1.0 / np.sqrt(q.shape[1] // heads))
+    out, total = np.empty(qh.shape), np.empty(qh.shape[:2] + (1,))
+    for lo in range(0, len(q), ROW_TILE):
+        r = slice(lo, lo + ROW_TILE)
+        p = qh[:, r] @ ks.transpose(0, 2, 1)
+        p = np.exp(p - p.max(axis=-1, keepdims=True))
+        total[:, r] = p.sum(axis=-1, keepdims=True)
+        out[:, r] = p @ vh
+    return _merge_heads(out / total)
+
+
+def textbook_attention(q, k, v, heads):
+    """softmax(s·Q Kᵀ) V with its VJP, every pass over the whole (heads, Nq,
+    Nk) array: the reference that extended-precision inputs make exact to
+    about 1e-19. Returns the output and the VJP."""
     qh, kh, vh = (_split_heads(x, heads) for x in (q, k, v))
     s = 1.0 / np.sqrt(q.shape[1] // heads)
     logits = qh @ kh.transpose(0, 2, 1)
@@ -721,11 +746,22 @@ class TestAttention:
         return (rng.normal(size=(self.NQ, self.C)), rng.normal(size=(self.NK, self.C)),
                 rng.normal(size=(self.NK, self.C)))
 
+    @staticmethod
+    def _assert_near_textbook(out, q, k, v, heads):
+        # the output in float64 is within 1e-13 of its own largest entry
+        # of the exact softmax(s·Q Kᵀ) V
+        ref = textbook_attention(*(x.astype(np.longdouble) for x in (q, k, v)), heads)[0]
+        assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
+
     @pytest.mark.parametrize("heads", [1, 2, 4])
     def test_matches_per_head_reference_exactly(self, heads):
-        q, k, v = self._qkv(heads)
+        # three query tiles, the last of 3 rows, against 70 keys
+        rng = np.random.default_rng(heads)
+        q = rng.normal(size=(2 * ROW_TILE + 3, self.C))
+        k, v = rng.normal(size=(70, self.C)), rng.normal(size=(70, self.C))
         out = attention(constant(q), constant(k), constant(v), heads).value
         assert np.array_equal(out, per_head_attention(q, k, v, heads))
+        self._assert_near_textbook(out, q, k, v, heads)
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
     @pytest.mark.parametrize("nk", [1, 7, 192])
@@ -736,15 +772,16 @@ class TestAttention:
         k, v = rng.normal(size=(nk, 32)), rng.normal(size=(nk, 32))
         node = attention(constant(q), constant(k), constant(v), heads)
         grads = node._vjp(g)
-        assert np.array_equal(node.value, whole_array_attention(q, k, v, heads)[0])
+        assert np.array_equal(node.value, query_tile_attention(q, k, v, heads))
+        self._assert_near_textbook(node.value, q, k, v, heads)
         # the VJP recomputes the softmax per query tile and sums dv over the
         # tiles, so every gradient follows another sum order than the
         # whole-array formulas: compare with them in extended precision, each
         # relative to its own largest entry. At nk = 1 the exact dq and dk are
         # 0 and the row dots leave rounding noise, so the scale there is that
         # of the products' absolute terms, |g||v|ᵀ|k| and (|g||v|ᵀ)ᵀ|q|
-        _, exact_vjp = whole_array_attention(*(x.astype(np.longdouble) for x in (q, k, v)),
-                                             heads)
+        _, exact_vjp = textbook_attention(*(x.astype(np.longdouble) for x in (q, k, v)),
+                                          heads)
         refs = exact_vjp(g.astype(np.longdouble))
         qa, ka, va, ga = (np.abs(_split_heads(x, heads)) for x in (q, k, v, g))
         terms = ga @ va.transpose(0, 2, 1) / np.sqrt(32 // heads)
@@ -755,6 +792,32 @@ class TestAttention:
         # and a second call gives the same bits
         for got, again in zip(grads, node._vjp(g)):
             assert np.array_equal(got, again)
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("nk", [1, 7, 192, 512, 576, 768])
+    @pytest.mark.parametrize("nq", [1, 7, 192, 512, 576, 768])
+    def test_forward_matches_query_tile_reference_at_model_sizes(self, nq, nk, heads):
+        # the token counts of the model's blocks: 192 and 576 lr, 512 pruned
+        # hr, 768 hr in train_mid
+        rng = np.random.default_rng(nq * 1000 + nk * 10 + heads)
+        q, k, v = rng.normal(size=(nq, 32)), rng.normal(size=(nk, 32)), rng.normal(size=(nk, 32))
+        out = attention(constant(q), constant(k), constant(v), heads).value
+        assert np.array_equal(out, query_tile_attention(q, k, v, heads))
+        self._assert_near_textbook(out, q, k, v, heads)
+
+    def test_forward_peak_memory_stays_near_one_tile(self):
+        # the forward forms its logits one (heads, ROW_TILE, Nk) tile at a
+        # time in one reused buffer; the rest is (N, C)-sized
+        n, heads = 768, 4
+        rng = np.random.default_rng(0)
+        q, k, v = (constant(rng.normal(size=(n, 32))) for _ in range(3))
+        tracemalloc.start()
+        try:
+            attention(q, k, v, heads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * heads * ROW_TILE * n * 8
 
     def test_node_keeps_no_score_array(self):
         # the node keeps one log-sum-exp per query row, not the softmax
@@ -833,6 +896,17 @@ class TestAttention:
         q, k, v = (constant(np.zeros(s)) for s in shapes)
         with pytest.raises(ShapeError):
             attention(q, k, v, heads)
+
+    @pytest.mark.parametrize("heads", [-1, True, False, 2.0, "2", None])
+    def test_bad_head_counts_rejected(self, heads):
+        q, k, v = self._qkv(0)
+        with pytest.raises(ShapeError, match="heads must be an integer >= 1"):
+            attention(constant(q), constant(k), constant(v), heads)
+
+    def test_numpy_integer_head_count_accepted(self):
+        q, k, v = (constant(x) for x in self._qkv(0))
+        assert np.array_equal(attention(q, k, v, np.int64(2)).value,
+                              attention(q, k, v, 2).value)
 
     def test_tiny_model_loss_tape_size(self):
         from prunepose.cli import TINY_MODEL, _model_config
