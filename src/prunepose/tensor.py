@@ -217,7 +217,7 @@ def mean_all(a: DiffNode) -> DiffNode:
     return DiffNode(out, (a,), lambda g: (np.broadcast_to(g / n, a.shape).copy(),))
 
 
-ROW_TILE = 64  # query rows per tile in attention's softmax and its VJP
+ROW_TILE = 64  # query rows per tile in attention's forward and its VJP
 LAYER_NORM_EPS = 1e-5  # added to each row's variance in layer_norm_rows
 
 
@@ -258,8 +258,7 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
 
 
 def _check_heads(heads, width: int):
-    """Raise ShapeError unless ``heads`` is an integer >= 1, not a bool, that
-    divides ``width``."""
+    """Raise ShapeError unless ``heads`` is an integer >= 1 dividing ``width``."""
     if isinstance(heads, bool) or not isinstance(heads, (int, np.integer)) or heads < 1:
         raise ShapeError(f"heads must be an integer >= 1, got {heads!r}")
     if width % heads:
@@ -271,21 +270,16 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
 
     ``q`` is (Nq, C) and ``k``, ``v`` are (Nk, C). Head h attends with columns
     h*d:(h+1)*d, d = C // heads, and writes the same columns of the (Nq, C)
-    output. No (heads, Nq, Nk) array is allocated in either pass: the node
-    keeps one log-sum-exp per query row, and the backward pass recomputes
-    the softmax from it.
+    output. Neither pass allocates a (heads, Nq, Nk) array: both work one
+    tile of ``ROW_TILE`` query rows at a time in reused (heads, ROW_TILE, Nk)
+    buffers (FlashAttention), and the node keeps one log-sum-exp per row.
 
-    The forward works one tile of ``ROW_TILE`` query rows at a time in one
-    reused (heads, ROW_TILE, Nk) buffer: the tile's logits Q (s·K)ᵀ, with the
-    1/sqrt(d) scale s taken by K once, less each row's max, exponentiated in
-    place; their row sums give the log-sum-exp L, and their product with V
-    gives the tile's rows of the output. After the last tile the output rows
-    are divided by their sums, Nq·d divisions, not Nq·Nk. The products are
-    tile-sized BLAS calls, so the output's bits follow the tile size.
-
-    The VJP works one query tile at a time in two reused (heads, ROW_TILE,
-    Nk) buffers (FlashAttention): P = exp(s·Q Kᵀ − L) is one product of the
-    tile's rows [Q | −L] with [s·K | 1], then
+    The forward's tile logits are Q (s·K)ᵀ, with the 1/sqrt(d) scale s taken
+    by K once; less each row's max and exponentiated in place, their row
+    sums give the log-sum-exp L and their product with V the tile's output
+    rows, which are divided by the sums after the last tile: Nq·d divisions,
+    not Nq·Nk. Its bits follow the tile size. The VJP's P = exp(s·Q Kᵀ − L)
+    is one product of the tile's rows [Q | −L] with [s·K | 1], then
     dV += Pᵀ dO. The softmax backward needs only the row dots
     D = rowsum(dP * P), which equal rowsum(dO * O), so [dO | −D] @ [V | 1]ᵀ
     gives dP − D in one product; times P it is the tile's logit gradient,
@@ -312,20 +306,19 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
     oh = _split_heads(out, heads)
     lse, total = np.empty((heads, nq, 1)), np.empty((heads, nq, 1))
     logits = np.empty((heads, min(nq, ROW_TILE), nk))
-    for r in tiles:
+    for r in tiles:  # lse holds the row maxima until the last tile
         p = np.matmul(qh[:, r], kst, out=logits[:, :r.stop - r.start])
-        top = p.max(axis=-1, keepdims=True)
-        p -= top
+        np.max(p, axis=-1, keepdims=True, out=lse[:, r])
+        p -= lse[:, r]
         np.exp(p, out=p)
         np.sum(p, axis=-1, keepdims=True, out=total[:, r])
-        np.log(total[:, r], out=lse[:, r])
-        lse[:, r] += top
         np.matmul(p, vh, out=oh[:, r])
     oh /= total
+    lse += np.log(total)
 
     def vjp(g):
         gh = _split_heads(g, heads)
-        dots = (gh * _split_heads(out, heads)).sum(axis=-1, keepdims=True)
+        dots = (gh * oh).sum(axis=-1, keepdims=True)
         dq = np.empty((nq, c))
         dqh = _split_heads(dq, heads)
         # dk and dv add up over the tiles in contiguous arrays: adding into
