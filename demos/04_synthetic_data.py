@@ -43,7 +43,7 @@ print(f"heatmap peak {maps.max():.1f} at pixel (row {row}, col {col})")
 # a given model configuration
 cfg = ModelConfig()
 triplet, target, crop_kps = make_triplet_sample(scene, cfg)
-print(f"model input: 3 frames of {triplet.images[1].shape}, "
+print(f"model input: 3 frames of {triplet[1].shape}, "
       f"target heatmaps {target.shape}")
 
 # sequences can be dumped as portable graymaps with a JSON keypoint sidecar

@@ -19,7 +19,6 @@ from .attention import (
     transformer_block,
 )
 from .model import (
-    FrameTriplet,
     Heatmap,
     ModelConfig,
     ModelParams,

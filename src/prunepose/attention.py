@@ -92,10 +92,11 @@ def init_block(rng: np.random.Generator, width: int, heads: int,
 
 
 def init_spatio_temporal(rng: np.random.Generator, width: int, heads: int,
-                         frames: int = 3, prefix: str = "st") -> SpatioTemporalParams:
+                         prefix: str = "st") -> SpatioTemporalParams:
+    """A joint block for a clip's three frames, with one frame embedding each."""
     return SpatioTemporalParams(
         block=init_block(rng, width, heads, f"{prefix}.block"),
-        frame_embed=constant(rng.normal(0.0, 0.02, (frames, width)), f"{prefix}.frame_embed"),
+        frame_embed=constant(rng.normal(0.0, 0.02, (3, width)), f"{prefix}.frame_embed"),
     )
 
 

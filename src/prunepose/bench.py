@@ -12,12 +12,11 @@ import csv
 import dataclasses
 import time
 import tracemalloc
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .model import (
-    FrameTriplet,
     ModelConfig,
     ModelParams,
     TrainingError,
@@ -40,7 +39,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "BenchConfig",
     "run_bench",
     "run_ratio_grid",
     "run_gradcheck",
@@ -52,18 +50,6 @@ __all__ = [
 REPORT_SCHEMA = "prunepose-report-v1"
 
 
-@dataclass(frozen=True)
-class BenchConfig:
-    model: ModelConfig = field(default_factory=ModelConfig)
-    warmup: int = 1
-    iters: int = 10
-    seed: int = 0
-
-    def __post_init__(self):
-        _check_int("timed iterations", self.iters, 1)
-        _check_int("warmup", self.warmup, 0)
-
-
 def _with_eps(cfg: ModelConfig, eps_hrb: int | None, eps_lrb: int | None) -> ModelConfig:
     """``cfg`` with the given pruning ratios; None keeps that branch's ratio."""
     hr_cfg = cfg.hr_cfg if eps_hrb is None else replace(cfg.hr_cfg, epsilon=eps_hrb)
@@ -72,7 +58,7 @@ def _with_eps(cfg: ModelConfig, eps_hrb: int | None, eps_lrb: int | None) -> Mod
 
 
 def _sample(cfg: ModelConfig, seed: int, **scene):
-    """One (triplet, target) sample of a ``SynthScene`` seeded ``seed``; extra
+    """One (clip, target) sample of a ``SynthScene`` seeded ``seed``; extra
     keywords go to the scene."""
     scene = SynthScene(seed=seed, joints=min(cfg.joints, len(DEFAULT_PARENTS)), **scene)
     return make_triplet_sample(scene, cfg)[:2]
@@ -83,13 +69,13 @@ def _report(command: str, config: dict, **fields) -> dict:
     return {"schema": REPORT_SCHEMA, "command": command, "config": config, **fields}
 
 
-def forward_baseline(triplet: FrameTriplet, cfg: ModelConfig, params: ModelParams):
+def forward_baseline(clip, cfg: ModelConfig, params: ModelParams):
     """Single-resolution reference: temporal encoder only, no pruning, no fusion.
 
     The key frame's refined tokens are upsampled to heatmap resolution and
     projected by the same head.
     """
-    frames = patch_embed_backbone(triplet, cfg, params)
+    frames = patch_embed_backbone(clip, cfg, params)
     joint = spatio_temporal_block(frames, params.st)
     for b in params.branch_blocks:
         joint = transformer_block(joint, b)
@@ -137,21 +123,22 @@ def _time_variant(fn, warmup: int, iters: int):
     }
 
 
-def run_bench(bench: BenchConfig) -> dict:
+def run_bench(cfg: ModelConfig, seed: int = 0, warmup: int = 1, iters: int = 10) -> dict:
     """Time the baseline, unpruned, and pruned pipeline variants."""
-    cfg = bench.model
-    params = init_model_params(cfg, bench.seed)
-    triplet, _ = _sample(cfg, bench.seed)
+    _check_int("timed iterations", iters, 1)
+    _check_int("warmup", warmup, 0)
+    params = init_model_params(cfg, seed)
+    clip, _ = _sample(cfg, seed)
     cfg_a = _with_eps(cfg, 1, 1)
 
     variants = {
-        "baseline": lambda: forward_baseline(triplet, cfg, params),
-        "multi_grained": lambda: forward_full(triplet, cfg_a, params),
-        "multi_grained_pruned": lambda: forward_full(triplet, cfg, params),
+        "baseline": lambda: forward_baseline(clip, cfg, params),
+        "multi_grained": lambda: forward_full(clip, cfg_a, params),
+        "multi_grained_pruned": lambda: forward_full(clip, cfg, params),
     }
-    results = {name: _time_variant(fn, bench.warmup, bench.iters)
-               for name, fn in variants.items()}
-    return _report("bench", dataclasses.asdict(bench), variants=results)
+    results = {name: _time_variant(fn, warmup, iters) for name, fn in variants.items()}
+    return _report("bench", {"model": dataclasses.asdict(cfg), "warmup": warmup,
+                             "iters": iters, "seed": seed}, variants=results)
 
 
 def _train(samples, cfg: ModelConfig, params: ModelParams, steps: int, lr: float) -> list:
@@ -202,7 +189,7 @@ def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
     _check_int("training steps", train_steps, 0)
     if not lr >= 0:
         raise ValueError(f"learning rate must be >= 0, got {lr}")
-    triplet, target = _sample(cfg, seed)  # a pruning ratio does not change it
+    clip, target = _sample(cfg, seed)  # a pruning ratio does not change it
     cells = []
     for eps_hrb in ratios:
         for eps_lrb in ratios:
@@ -210,8 +197,8 @@ def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
             cell = {"eps_hrb": eps_hrb, "eps_lrb": eps_lrb}
             try:
                 params = init_model_params(cell_cfg, seed)
-                loss = _train([(triplet, target)], cell_cfg, params, train_steps, lr)[-1]
-                timing = _time_variant(lambda: forward_full(triplet, cell_cfg, params),
+                loss = _train([(clip, target)], cell_cfg, params, train_steps, lr)[-1]
+                timing = _time_variant(lambda: forward_full(clip, cell_cfg, params),
                                        warmup=1, iters=iters)
                 cell.update(final_loss=loss, macs=timing["macs"],
                             throughput_per_s=timing["throughput_per_s"])
@@ -219,7 +206,8 @@ def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
                 cell.update(error=f"{type(e).__name__}: {e}")
             cells.append(cell)
     return _report("ratio-grid", {"model": dataclasses.asdict(cfg), "ratios": ratios,
-                                  "seed": seed, "train_steps": train_steps, "lr": lr},
+                                  "seed": seed, "train_steps": train_steps, "lr": lr,
+                                  "iters": iters},
                    cells=cells)
 
 
@@ -257,14 +245,16 @@ def run_gradcheck(cfg: ModelConfig, seed: int = 0, eps: float = 1e-4,
         raise ValueError(f"gradcheck requires a tiny config (<= 64x64 image), got {cfg.image_size}")
     if not tol > 0:
         raise ValueError(f"tolerance must be > 0, got {tol}")
+    if max_coords_per_param is not None:
+        _check_int("coordinates per parameter", max_coords_per_param, 1)
     params = init_model_params(cfg, seed)
-    triplet, target = _sample(cfg, seed)
+    clip, target = _sample(cfg, seed)
 
-    _, hr_sel, lr_sel = forward_full(triplet, cfg, params, details=True)
+    _, hr_sel, lr_sel = forward_full(clip, cfg, params, details=True)
     frozen = (hr_sel, lr_sel)
 
     def loss_at():
-        return _mean_loss([(triplet, target)], cfg, params, frozen=frozen)
+        return _mean_loss([(clip, target)], cfg, params, frozen=frozen)
 
     backward(loss_at())
     named = params.named_parameters()
@@ -273,6 +263,6 @@ def run_gradcheck(cfg: ModelConfig, seed: int = 0, eps: float = 1e-4,
     grads = [p.grad + 1.0 if name == corrupt else p.grad for name, p in named]
     worst_err, worst_name = _central_diff(loss_at, named, grads, eps, max_coords_per_param)
     return _report("gradcheck", {"model": dataclasses.asdict(cfg), "seed": seed,
-                                 "eps": eps, "tol": tol},
+                                 "eps": eps, "tol": tol, "max_coords": max_coords_per_param},
                    max_rel_error=float(worst_err), worst_parameter=worst_name,
                    passed=bool(worst_err < tol))

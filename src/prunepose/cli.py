@@ -13,7 +13,6 @@ import os
 import sys
 
 from .bench import (
-    BenchConfig,
     _report,
     _with_eps,
     run_bench,
@@ -163,10 +162,8 @@ def run(argv=None) -> int:
     try:
         _check_writable(args)
         if args.command == "bench":
-            model = _resolve_model(args)
-            bench = BenchConfig(model=model, warmup=args.warmup,
-                                iters=args.iters, seed=args.seed)
-            _emit(run_bench(bench), args.out)
+            _emit(run_bench(_resolve_model(args), seed=args.seed, warmup=args.warmup,
+                            iters=args.iters), args.out)
             return 0
 
         if args.command == "ratio-grid":

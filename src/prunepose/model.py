@@ -24,6 +24,7 @@ from .dpc import DpcConfig, NonFiniteTokens, PruneSelection, _check_int, select
 from .tensor import (
     DiffNode,
     ShapeError,
+    _check_heads,
     add,
     backward,
     constant,
@@ -41,7 +42,6 @@ from .tensor import (
 
 __all__ = [
     "ModelConfig",
-    "FrameTriplet",
     "Heatmap",
     "ModelParams",
     "TrainingError",
@@ -81,7 +81,7 @@ class ModelConfig:
     add_hr_pos_embed: bool = True
 
     def __post_init__(self):
-        for name, low in (("patch", 1), ("heads", 1), ("embed_dim", 1), ("joints", 1),
+        for name, low in (("patch", 1), ("embed_dim", 1), ("joints", 1),
                           ("upsample_factor", 1), ("backbone_depth", 0), ("blocks_per_branch", 0)):
             _check_int(name, getattr(self, name), low)
         if not (isinstance(self.hr_cfg, DpcConfig) and isinstance(self.lr_cfg, DpcConfig)):
@@ -95,8 +95,7 @@ class ModelConfig:
         if h % self.patch or w % self.patch:
             raise ValueError(f"image size {self.image_size} must be multiples "
                              f"of patch {self.patch}")
-        if self.embed_dim % self.heads:
-            raise ValueError(f"embed dim {self.embed_dim} not divisible by {self.heads} heads")
+        _check_heads(self.heads, self.embed_dim)
 
     @property
     def grid(self) -> tuple:
@@ -121,18 +120,6 @@ class ModelConfig:
     @property
     def temporal_tokens(self) -> int:
         return 3 * self.tokens_per_frame
-
-
-@dataclass(frozen=True)
-class FrameTriplet:
-    """Three person-centered crops: previous, key, and next frame."""
-
-    images: tuple  # three HxWx3 float arrays
-
-    def __post_init__(self):
-        shapes = {np.asarray(im).shape for im in self.images}
-        if len(self.images) != 3 or len(shapes) != 1:
-            raise ShapeError(f"triplet needs three same-shape images, got {sorted(shapes)}")
 
 
 @dataclass
@@ -215,14 +202,16 @@ def _patchify(image: np.ndarray, patch: int) -> np.ndarray:
     return np.ascontiguousarray(tiles).reshape(gh * gw, patch * patch * ch)
 
 
-def patch_embed_backbone(triplet: FrameTriplet, cfg: ModelConfig,
-                         params: ModelParams) -> list:
-    """Per-frame token matrices from the patch projection plus shallow blocks."""
+def patch_embed_backbone(clip, cfg: ModelConfig, params: ModelParams) -> list:
+    """Per-frame token matrices from the patch projection plus shallow blocks.
+    ``clip`` is three HxWx3 crops (previous, key, next frame); any other
+    count or shape raises ShapeError before a node is built."""
+    images = [np.asarray(im, dtype=np.float64) for im in clip]
+    want = (*cfg.image_size, 3)
+    if len(images) != 3 or any(im.shape != want for im in images):
+        raise ShapeError(f"a clip is three {want} frames, got {[im.shape for im in images]}")
     out = []
-    for im in triplet.images:
-        im = np.asarray(im, dtype=np.float64)
-        if im.shape != (*cfg.image_size, 3):
-            raise ShapeError(f"image shape {im.shape} != {(*cfg.image_size, 3)}")
+    for im in images:
         tokens = matmul(constant(_patchify(im, cfg.patch)), params.patch_proj, params.patch_bias)
         tokens = add(tokens, params.pos_embed)
         for b in params.backbone_blocks:
@@ -289,11 +278,12 @@ def heatmap_loss(h, g) -> DiffNode:
     return mean_all(mul(diff, diff))
 
 
-def forward_full(triplet: FrameTriplet, cfg: ModelConfig, params: ModelParams,
+def forward_full(clip, cfg: ModelConfig, params: ModelParams,
                  frozen=None, details: bool = False):
-    """Full pipeline. ``frozen`` optionally pins the (hr, lr) prune selections
-    so the map stays smooth under parameter perturbations (gradient checks)."""
-    frames = patch_embed_backbone(triplet, cfg, params)
+    """Full pipeline on a clip of three frames. ``frozen`` optionally pins the
+    (hr, lr) prune selections so the map stays smooth under parameter
+    perturbations (gradient checks)."""
+    frames = patch_embed_backbone(clip, cfg, params)
     hr_sel = lr_sel = None
     if frozen is not None:
         hr_sel, lr_sel = frozen
@@ -306,12 +296,12 @@ def forward_full(triplet: FrameTriplet, cfg: ModelConfig, params: ModelParams,
 
 
 def _mean_loss(samples, cfg: ModelConfig, params: ModelParams, frozen=None) -> DiffNode:
-    """Mean heatmap loss over (triplet, target) samples; one sample's loss is
+    """Mean heatmap loss over (clip, target) samples; one sample's loss is
     returned as it is. ``frozen`` is passed to :func:`forward_full`. Raises
     TrainingError when the features or the loss are non-finite."""
     try:
-        losses = [heatmap_loss(forward_full(t, cfg, params, frozen=frozen), g)
-                  for t, g in samples]
+        losses = [heatmap_loss(forward_full(clip, cfg, params, frozen=frozen), g)
+                  for clip, g in samples]
     except NonFiniteTokens as e:  # features overflowed: treat like a non-finite loss
         raise TrainingError(f"non-finite features: {e}") from e
     total = losses[0]
@@ -338,11 +328,10 @@ def _descend(samples, cfg: ModelConfig, params: ModelParams, lr: float) -> float
     return loss_val
 
 
-def train_step(triplet: FrameTriplet, target, cfg: ModelConfig,
-               params: ModelParams, lr: float) -> float:
+def train_step(clip, target, cfg: ModelConfig, params: ModelParams, lr: float) -> float:
     """One gradient descent step on one sample, in place; returns the
     pre-update loss."""
-    return _descend([(triplet, target)], cfg, params, lr)
+    return _descend([(clip, target)], cfg, params, lr)
 
 
 # ---------------------------------------------------------------------------

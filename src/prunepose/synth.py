@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dpc import _check_int
-from .model import FrameTriplet
 from .tensor import _bilinear, _bilinear_axis, _corners
 
 __all__ = [
@@ -181,7 +180,7 @@ def expand_and_crop(box: BoundingBox, frames, out_size=(256, 192),
     """Enlarge the person box, clamp it, and cut the same region from all
     three frames, resized to the model input size.
 
-    Returns (triplet, region) where region is the final crop box.
+    Returns (frames, region): a tuple of the three crops and the final crop box.
     """
     shapes = sorted({np.shape(f) for f in frames})
     if len(frames) != 3 or len(shapes) != 1:
@@ -190,8 +189,7 @@ def expand_and_crop(box: BoundingBox, frames, out_size=(256, 192),
     region = clamp_box(expand_box(box, factor), (ih, iw))
     corners = _corners(_bilinear_axis(region.y, region.h, ih, out_size[0]),
                        _bilinear_axis(region.x, region.w, iw, out_size[1]))
-    crops = tuple(_bilinear(np.asarray(f, dtype=np.float64), corners) for f in frames)
-    return FrameTriplet(images=crops), region
+    return tuple(_bilinear(np.asarray(f, dtype=np.float64), corners) for f in frames), region
 
 
 def map_keypoints_to_crop(keypoints: np.ndarray, region: BoundingBox, out_size) -> np.ndarray:
@@ -229,12 +227,13 @@ def render_gaussian_heatmaps(keypoints: np.ndarray, heatmap_size,
 
 
 def make_triplet_sample(scene: SynthScene, cfg):
-    """One training sample: the cropped first three frames of the scene plus
-    target heatmaps for the middle one."""
+    """One training sample: the cropped first three frames of the scene (a
+    tuple of arrays), target heatmaps for the middle one, and its crop-space
+    keypoints."""
     seq = generate_sequence(scene, 3)
     frames = [image for image, _ in seq]
     kps = seq[1][1]
-    triplet, region = expand_and_crop(bbox_from_keypoints(kps), frames,
+    clip, region = expand_and_crop(bbox_from_keypoints(kps), frames,
                                       out_size=cfg.image_size)
     crop_kps = map_keypoints_to_crop(kps, region, cfg.image_size)
     hh, hw = cfg.heatmap_size
@@ -243,7 +242,7 @@ def make_triplet_sample(scene: SynthScene, cfg):
     if len(target) < cfg.joints:  # scene has fewer joints than the model head
         pad = np.zeros((cfg.joints - len(target), hh, hw))
         target = np.concatenate([target, pad], axis=0)
-    return triplet, target, crop_kps
+    return clip, target, crop_kps
 
 
 # ---------------------------------------------------------------------------

@@ -591,8 +591,6 @@ def _central_diff(loss_at: Callable[[], DiffNode], named, grads, eps: float,
     raises ``ValueError``."""
     if not 0.0 < eps <= 1e-2:
         raise ValueError(f"eps must lie in (0, 1e-2], got {eps}")
-    if max_coords is not None and max_coords < 1:
-        raise ValueError(f"coordinates per parameter must be >= 1, got {max_coords}")
     worst, where = 0.0, None
     for (name, node), grad in zip(named, grads):
         flat = node.value.reshape(-1)  # a view: values are C-contiguous

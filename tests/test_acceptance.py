@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 
-from prunepose.bench import BenchConfig, run_bench, run_gradcheck, run_ratio_grid, run_train_smoke
+from prunepose.bench import run_bench, run_gradcheck, run_ratio_grid, run_train_smoke
 from prunepose.cli import GRID_MODEL, TINY_MODEL, _model_config
 from prunepose.dpc import DpcConfig, prune
 from prunepose.model import (
@@ -113,7 +113,7 @@ class TestAcceptance:
         report("4 softmax rows sum to 1 +/- 1e-9", ok)
 
     def test_05_speedup_trend(self):
-        result = run_bench(BenchConfig(warmup=1, iters=3, seed=0))
+        result = run_bench(ModelConfig(), warmup=1, iters=3, seed=0)
         v = result["variants"]
         thr_a = v["multi_grained"]["throughput_per_s"]
         thr_b = v["multi_grained_pruned"]["throughput_per_s"]

@@ -101,3 +101,35 @@ def test_no_bias_added_after_matmul():
                     and _called_name(node.args[0]) == "matmul"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"add(matmul(...), ...) instead of matmul(..., bias): {found}"
+
+
+def _package_imports(module: str) -> set:
+    """The package modules that ``prunepose.<module>`` imports by ``from .x import``."""
+    path = Path(prunepose.__file__).parent / f"{module}.py"
+    return {node.module for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1}
+
+
+@pytest.mark.parametrize("module, allowed", [
+    ("tensor", set()),
+    ("dpc", set()),
+    ("attention", {"tensor"}),
+    ("synth", {"dpc", "tensor"}),
+])
+def test_low_layers_import_only_the_layers_below(module, allowed):
+    imported = _package_imports(module)
+    assert imported <= allowed, f"prunepose.{module} imports {sorted(imported - allowed)}"
+
+
+def test_model_imports_no_tool_module():
+    assert not _package_imports("model") & {"bench", "cli", "synth"}
+
+
+def test_every_module_imports_by_relative_name():
+    # the layering tests read only ``from .x import``, so no other form may hide an import
+    for path in sorted(Path(prunepose.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 0:
+                assert not (node.module or "").startswith("prunepose"), path.name
+            elif isinstance(node, ast.Import):
+                assert not any(a.name.startswith("prunepose") for a in node.names), path.name

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -15,7 +16,6 @@ import prunepose.bench as bench
 import prunepose.cli as cli
 from prunepose.bench import (
     REPORT_SCHEMA,
-    BenchConfig,
     _sample,
     forward_baseline,
     run_gradcheck,
@@ -47,32 +47,53 @@ TINY = _model_config(TINY_MODEL)
 SMALL_GRID = ModelConfig(image_size=(32, 32), embed_dim=8, joints=2, heads=2)
 
 
-class TestBenchConfig:
-    def test_zero_iterations_rejected(self):
-        with pytest.raises(ValueError):
-            BenchConfig(iters=0)
+@pytest.fixture
+def no_sample(monkeypatch):
+    """Make drawing a clip fail, so a check that passes this fixture shows
+    that it came before any work."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a clip was drawn before the arguments were checked")
 
-    def test_negative_warmup_rejected(self):
+    monkeypatch.setattr(bench, "_sample", fail)
+
+
+class TestBenchConfig:
+    """``run_bench``'s counts, checked before any work."""
+
+    def test_zero_iterations_rejected(self, no_sample):
         with pytest.raises(ValueError):
-            BenchConfig(warmup=-1)
+            bench.run_bench(TINY, iters=0)
+
+    def test_negative_warmup_rejected(self, no_sample):
+        with pytest.raises(ValueError):
+            bench.run_bench(TINY, warmup=-1)
 
     @pytest.mark.parametrize("field", ["iters", "warmup"])
     @pytest.mark.parametrize("value", [2.5, True, 2.0])
-    def test_non_integer_counts_rejected(self, field, value):
+    def test_non_integer_counts_rejected(self, field, value, no_sample):
         with pytest.raises(ValueError, match="integer"):
-            BenchConfig(**{field: value})
+            bench.run_bench(TINY, **{field: value})
 
 
 class TestBench:
+    def test_report_config_keeps_the_committed_layout(self):
+        report = bench.run_bench(TINY, seed=2, warmup=0, iters=1)
+        committed = json.loads((Path(__file__).parents[1] / "BENCH_2.json").read_text())
+        assert list(report["config"]) == list(committed["config"]) == [
+            "model", "warmup", "iters", "seed"]
+        assert list(report["config"]["model"]) == list(committed["config"]["model"])
+        assert {k: report["config"][k] for k in ("warmup", "iters", "seed")} == {
+            "warmup": 0, "iters": 1, "seed": 2}
+
     def test_every_variant_reports_its_peak_memory(self):
-        variants = bench.run_bench(BenchConfig(model=TINY, warmup=0, iters=1))["variants"]
+        variants = bench.run_bench(TINY, warmup=0, iters=1)["variants"]
         assert all(v["peak_mb"] > 0 for v in variants.values())
         assert variants["multi_grained"]["peak_mb"] >= variants["multi_grained_pruned"]["peak_mb"]
 
     def test_a_running_trace_stays_on(self):
         tracemalloc.start()
         try:
-            bench.run_bench(BenchConfig(model=TINY, warmup=0, iters=1))
+            bench.run_bench(TINY, warmup=0, iters=1)
             assert tracemalloc.is_tracing()
         finally:
             tracemalloc.stop()
@@ -121,6 +142,12 @@ class TestRatioGrid:
         assert (cell["eps_hrb"], cell["eps_lrb"]) == (1, 1)
         assert "final_loss" in cell
 
+    def test_report_names_every_argument(self):
+        report = run_ratio_grid(SMALL_GRID, ratios=(1,), seed=4, train_steps=0, lr=0.5, iters=3)
+        config = dict(report["config"])
+        assert list(config.pop("model")) == list(dataclasses.asdict(SMALL_GRID))
+        assert config == {"ratios": [1], "seed": 4, "train_steps": 0, "lr": 0.5, "iters": 3}
+
     def test_empty_ratios_rejected(self):
         with pytest.raises(ValueError):
             run_ratio_grid(SMALL_GRID, ratios=())
@@ -164,7 +191,7 @@ def test_sample_pads_joints_beyond_the_skeleton():
     assert target.shape == (17, *cfg.heatmap_size)
     assert not target[15:].any() and target[:15].any()
     want, want_target, _ = make_triplet_sample(SynthScene(seed=0), replace(cfg, joints=15))
-    assert all(np.array_equal(a, b) for a, b in zip(triplet.images, want.images))
+    assert all(np.array_equal(a, b) for a, b in zip(triplet, want))
     assert np.array_equal(target[:15], want_target)
 
 
@@ -225,6 +252,19 @@ class TestGradcheckCommand:
     def test_unknown_corrupt_target_rejected(self):
         with pytest.raises(KeyError):
             run_gradcheck(TINY, corrupt="nope", max_coords_per_param=1)
+
+    @pytest.mark.parametrize("cap", [1, None])
+    def test_report_names_the_coordinate_cap(self, cap, monkeypatch):
+        # a capped check must say so; the uncapped run's probes are stubbed out
+        monkeypatch.setattr(bench, "_central_diff", lambda *args: (0.0, None))
+        report = run_gradcheck(TINY, max_coords_per_param=cap)
+        assert list(report["config"]) == ["model", "seed", "eps", "tol", "max_coords"]
+        assert report["config"]["max_coords"] == cap
+
+    @pytest.mark.parametrize("cap", [0, -1, 1.5, True, 2.0, "2"])
+    def test_bad_coordinate_caps_rejected_before_any_work(self, cap, no_sample):
+        with pytest.raises(ValueError, match="integer"):
+            run_gradcheck(TINY, max_coords_per_param=cap)
 
 
 class TestTrainSmoke:

@@ -8,7 +8,6 @@ from prunepose.attention import spatio_temporal_block, transformer_block
 from prunepose.dpc import DpcConfig, PruneSelection, select
 from prunepose.model import (
     CHECKPOINT_MAGIC,
-    FrameTriplet,
     ModelConfig,
     TrainingError,
     forward_full,
@@ -23,6 +22,7 @@ from prunepose.model import (
     train_step,
 )
 from prunepose.synth import SynthScene, make_triplet_sample
+import prunepose.tensor as tensor
 from prunepose.tensor import (
     ShapeError,
     add,
@@ -80,8 +80,7 @@ class TestPatchEmbed:
         params = init_model_params(cfg, 0)
         params.patch_bias.value[...] = 0.0
         zeros = np.zeros((32, 32, 3))
-        triplet = FrameTriplet(images=(zeros, zeros, zeros))
-        frames = patch_embed_backbone(triplet, cfg, params)
+        frames = patch_embed_backbone((zeros, zeros, zeros), cfg, params)
         assert np.allclose(frames[0].value, params.pos_embed.value, atol=1e-15)
 
     def test_patch_projection_is_linear(self):
@@ -91,15 +90,15 @@ class TestPatchEmbed:
         params.patch_bias.value[...] = 0.0
         params.pos_embed.value[...] = 0.0
         img = np.random.default_rng(0).random((32, 32, 3))
-        single = patch_embed_backbone(FrameTriplet(images=(img,) * 3), cfg, params)
-        double = patch_embed_backbone(FrameTriplet(images=(2 * img,) * 3), cfg, params)
+        single = patch_embed_backbone((img,) * 3, cfg, params)
+        double = patch_embed_backbone((2 * img,) * 3, cfg, params)
         assert np.allclose(double[0].value, 2 * single[0].value, rtol=1e-12)
 
     def test_size_mismatch_rejected(self, default_setup):
         cfg, params, _, _ = default_setup
         bad = np.zeros((64, 64, 3))
         with pytest.raises(ShapeError):
-            patch_embed_backbone(FrameTriplet(images=(bad, bad, bad)), cfg, params)
+            patch_embed_backbone((bad, bad, bad), cfg, params)
 
 
 def inline_branches(frames, cfg, params, hr_sel, lr_sel):
@@ -546,5 +545,14 @@ class TestConfigValidation:
         assert cfg.heatmap_size == (64, 48)
 
     def test_triplet_needs_three_matching_images(self):
-        with pytest.raises(ShapeError):
-            FrameTriplet(images=(np.zeros((4, 4, 3)), np.zeros((4, 4, 3))))
+        # a clip of two or four frames, or with one mis-shaped frame, is
+        # rejected before any node is built or any MAC counted
+        params = init_model_params(TINY, 0)
+        frame = np.zeros((*TINY.image_size, 3))
+        for bad in ((frame, frame), (frame,) * 4, (frame, frame, np.zeros((32, 16, 3)))):
+            for embed in (patch_embed_backbone, forward_full):
+                first = next(tensor._created)
+                with mac_tally() as tally, pytest.raises(ShapeError, match="three"):
+                    embed(bad, TINY, params)
+                assert tally.macs == 0
+                assert next(tensor._created) == first + 1

@@ -189,7 +189,7 @@ class TestExpandAndCrop:
                                   rng.uniform(25.0, 90.0), rng.uniform(25.0, 70.0))
                 triplet, region = expand_and_crop(box, frames, out_size=out_size)
                 clamped += region != expand_box(box)
-                for frame, crop in zip(frames, triplet.images):
+                for frame, crop in zip(frames, triplet):
                     assert np.array_equal(crop, crop_resize_reference(frame, region, out_size))
         assert clamped >= 50
 
@@ -198,8 +198,8 @@ class TestExpandAndCrop:
         frame = rng.random((100, 100, 3))
         triplet, _ = expand_and_crop(BoundingBox(10, 10, 50, 50), [frame] * 3,
                                      out_size=(32, 32))
-        assert np.array_equal(triplet.images[0], triplet.images[1])
-        assert np.array_equal(triplet.images[1], triplet.images[2])
+        assert np.array_equal(triplet[0], triplet[1])
+        assert np.array_equal(triplet[1], triplet[2])
 
     def test_frames_of_different_sizes_rejected(self):
         frames = [np.zeros((80, 60, 3)), np.zeros((80, 60, 3)), np.zeros((60, 80, 3))]
@@ -212,7 +212,8 @@ class TestExpandAndCrop:
         frame = np.zeros((80, 60, 3))
         triplet, region = expand_and_crop(BoundingBox(5, 5, 40, 40), [frame] * 3,
                                           out_size=(64, 48))
-        assert triplet.images[0].shape == (64, 48, 3)
+        assert isinstance(triplet, tuple) and len(triplet) == 3
+        assert triplet[0].shape == (64, 48, 3)
         assert region.w > 40 and region.h > 40
 
     def test_keypoint_mapping_round_trip(self):
@@ -254,7 +255,7 @@ class TestTripletSample:
         cfg = ModelConfig(image_size=(32, 32), embed_dim=8, joints=2, heads=2)
         scene = SynthScene(seed=0, joints=2, image_size=(96, 96))
         triplet, target, kps = make_triplet_sample(scene, cfg)
-        assert triplet.images[1].shape == (32, 32, 3)
+        assert triplet[1].shape == (32, 32, 3)
         assert target.shape == (2, 8, 8)
         assert kps.shape == (2, 2)
 
