@@ -239,7 +239,7 @@ def run_gradcheck(cfg: ModelConfig, seed: int = 0, eps: float = 1e-4,
 
     Prune selections are frozen at the base point so the function stays
     smooth under the +/-eps probes. ``corrupt`` names a parameter whose
-    analytic gradient is deliberately broken (negative-control hook).
+    analytic gradient is broken on purpose (a negative control, echoed).
     """
     if max(cfg.image_size) > 64:
         raise ValueError(f"gradcheck requires a tiny config (<= 64x64 image), got {cfg.image_size}")
@@ -263,6 +263,7 @@ def run_gradcheck(cfg: ModelConfig, seed: int = 0, eps: float = 1e-4,
     grads = [p.grad + 1.0 if name == corrupt else p.grad for name, p in named]
     worst_err, worst_name = _central_diff(loss_at, named, grads, eps, max_coords_per_param)
     return _report("gradcheck", {"model": dataclasses.asdict(cfg), "seed": seed,
-                                 "eps": eps, "tol": tol, "max_coords": max_coords_per_param},
+                                 "eps": eps, "tol": tol, "max_coords": max_coords_per_param,
+                                 "corrupt": corrupt},
                    max_rel_error=float(worst_err), worst_parameter=worst_name,
                    passed=bool(worst_err < tol))

@@ -12,7 +12,8 @@ same four (index, weight) corners; the forward gathers them with 1-D takes.
 no (heads, Nq, Nk) array is ever allocated: the forward forms each tile's
 logits, exponentials and share of the output in one reused buffer, and keeps
 one log-sum-exp per query row, not the softmax; its VJP recomputes the
-softmax and forms the logit gradient one query tile at a time.
+softmax and forms the logit gradient one query tile at a time. The forward
+takes each row's max only when a bound on the logits says exp needs it.
 """
 
 from __future__ import annotations
@@ -218,6 +219,7 @@ def mean_all(a: DiffNode) -> DiffNode:
 
 
 ROW_TILE = 64  # query rows per tile in attention's forward and its VJP
+_EXP_SAFE = 512.0  # the largest logit bound at which attention skips the row max
 LAYER_NORM_EPS = 1e-5  # added to each row's variance in layer_norm_rows
 
 
@@ -265,6 +267,16 @@ def _check_heads(heads, width: int):
         raise ShapeError(f"width {width} not divisible by {heads} heads")
 
 
+def _needs_shift(qv: np.ndarray, kv: np.ndarray, s: float) -> bool:
+    """Whether attention must take each row of logits less its max before
+    exp: unless the Cauchy–Schwarz bound s·max_i |q_i|·max_j |k_j| on each
+    |logit| is within ``_EXP_SAFE``. e^±512 (2.3e222, 4.4e-223) is a normal
+    float64 about 1e85 inside either end of the range, so row sums and their
+    products with V stay finite while Nk·max|v| < 1e85. A NaN bound shifts."""
+    return not (s * math.sqrt(np.vecdot(qv, qv).max())
+                * math.sqrt(np.vecdot(kv, kv).max())) <= _EXP_SAFE
+
+
 def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
     """Multi-head scaled dot-product attention, heads split along columns.
 
@@ -275,10 +287,12 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
     buffers (FlashAttention), and the node keeps one log-sum-exp per row.
 
     The forward's tile logits are Q (s·K)ᵀ, with the 1/sqrt(d) scale s taken
-    by K once; less each row's max and exponentiated in place, their row
-    sums give the log-sum-exp L and their product with V the tile's output
-    rows, which are divided by the sums after the last tile: Nq·d divisions,
-    not Nq·Nk. Its bits follow the tile size. The VJP's P = exp(s·Q Kᵀ − L)
+    by K once; exponentiated in place, less each row's max only where
+    :func:`_needs_shift` says exp could leave its range (softmax ignores the
+    shift, so skipping it changes only rounding), their row sums give the
+    log-sum-exp L and their product with V the tile's output rows, which
+    are divided by the sums after the last tile: Nq·d divisions, not Nq·Nk.
+    Its bits follow the tile size and the shift. The VJP's P = exp(s·Q Kᵀ − L)
     is one product of the tile's rows [Q | −L] with [s·K | 1], then
     dV += Pᵀ dO. The softmax backward needs only the row dots
     D = rowsum(dP * P), which equal rowsum(dO * O), so [dO | −D] @ [V | 1]ᵀ
@@ -304,12 +318,14 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
     kst = (kh * s).transpose(0, 2, 1)
     out = np.empty((nq, c))
     oh = _split_heads(out, heads)
-    lse, total = np.empty((heads, nq, 1)), np.empty((heads, nq, 1))
+    shift = _needs_shift(qv, kv, s)
+    lse, total = np.zeros((heads, nq, 1)), np.empty((heads, nq, 1))
     logits = np.empty((heads, min(nq, ROW_TILE), nk))
-    for r in tiles:  # lse holds the row maxima until the last tile
+    for r in tiles:  # lse holds the row maxima, or 0s, until the last tile
         p = np.matmul(qh[:, r], kst, out=logits[:, :r.stop - r.start])
-        np.max(p, axis=-1, keepdims=True, out=lse[:, r])
-        p -= lse[:, r]
+        if shift:
+            np.max(p, axis=-1, keepdims=True, out=lse[:, r])
+            p -= lse[:, r]
         np.exp(p, out=p)
         np.sum(p, axis=-1, keepdims=True, out=total[:, r])
         np.matmul(p, vh, out=oh[:, r])

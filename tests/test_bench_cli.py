@@ -78,7 +78,7 @@ class TestBenchConfig:
 class TestBench:
     def test_report_config_keeps_the_committed_layout(self):
         report = bench.run_bench(TINY, seed=2, warmup=0, iters=1)
-        committed = json.loads((Path(__file__).parents[1] / "BENCH_2.json").read_text())
+        committed = json.loads((Path(__file__).parents[1] / "BENCH_3.json").read_text())
         assert list(report["config"]) == list(committed["config"]) == [
             "model", "warmup", "iters", "seed"]
         assert list(report["config"]["model"]) == list(committed["config"]["model"])
@@ -248,6 +248,8 @@ class TestGradcheckCommand:
         report = run_gradcheck(TINY, corrupt="patch_bias", max_coords_per_param=2)
         assert not report["passed"]
         assert report["worst_parameter"].startswith("patch_bias")
+        # a deliberately broken gradient is told apart from a real bug
+        assert report["config"]["corrupt"] == "patch_bias"
 
     def test_unknown_corrupt_target_rejected(self):
         with pytest.raises(KeyError):
@@ -258,8 +260,10 @@ class TestGradcheckCommand:
         # a capped check must say so; the uncapped run's probes are stubbed out
         monkeypatch.setattr(bench, "_central_diff", lambda *args: (0.0, None))
         report = run_gradcheck(TINY, max_coords_per_param=cap)
-        assert list(report["config"]) == ["model", "seed", "eps", "tol", "max_coords"]
+        assert list(report["config"]) == ["model", "seed", "eps", "tol", "max_coords",
+                                          "corrupt"]
         assert report["config"]["max_coords"] == cap
+        assert report["config"]["corrupt"] is None
 
     @pytest.mark.parametrize("cap", [0, -1, 1.5, True, 2.0, "2"])
     def test_bad_coordinate_caps_rejected_before_any_work(self, cap, no_sample):
@@ -338,11 +342,16 @@ class TestCli:
         assert run(["bench", "--config", str(bad)]) == 2
 
     def test_gradcheck_corrupt_exits_1(self, tmp_path, capsys):
-        code = run(["gradcheck", "--corrupt", "patch_bias", "--max-coords", "1"])
+        out = tmp_path / "gc.json"
+        code = run(["gradcheck", "--corrupt", "patch_bias", "--max-coords", "1",
+                    "--out", str(out)])
         assert code == 1
+        assert json.loads(out.read_text())["config"]["corrupt"] == "patch_bias"
 
-    def test_gradcheck_subset_exits_0(self, capsys):
-        assert run(["gradcheck", "--max-coords", "1"]) == 0
+    def test_gradcheck_subset_exits_0(self, tmp_path, capsys):
+        out = tmp_path / "gc.json"
+        assert run(["gradcheck", "--max-coords", "1", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["config"]["corrupt"] is None
 
     def test_train_smoke_writes_curve(self, tmp_path, capsys):
         out = tmp_path / "smoke.json"

@@ -384,6 +384,25 @@ class TestTrainStep:
         assert np.any(grad[sel.kept] != 0.0)
 
 
+class TestAttentionStaysUnshifted:
+    """Every attention call of the model's two timed paths exponentiates its
+    logits without the row-max shift: a change that pushes the logits past
+    the forward's Cauchy–Schwarz bound puts them on the slower path and
+    fails here."""
+
+    def test_pruned_default_forward(self, default_setup, shift_calls):
+        cfg, params, triplet, _ = default_setup
+        forward_full(triplet, cfg, params)
+        assert shift_calls and not any(shift_calls)
+
+    def test_unpruned_train_step_at_128x96(self, shift_calls):
+        cfg = ModelConfig(image_size=(128, 96), hr_cfg=DpcConfig(epsilon=1),
+                          lr_cfg=DpcConfig(epsilon=1))
+        triplet, target, _ = make_triplet_sample(SynthScene(seed=0), cfg)
+        train_step(triplet, target, cfg, init_model_params(cfg, 1), 0.01)
+        assert shift_calls and not any(shift_calls)
+
+
 def hand_listed_parameters(params):
     """The (name, node) list as it was written out by hand before it was
     derived from the dataclass fields: the reference for names and order."""

@@ -12,6 +12,7 @@ from prunepose.tensor import (
     ROW_TILE,
     DiffNode,
     ShapeError,
+    _EXP_SAFE,
     _bilinear,
     _bilinear_axis,
     _central_diff,
@@ -680,12 +681,23 @@ class TestFiniteDiffCheck:
         assert finite_diff_check(f, np.random.default_rng(9).normal(size=(2, 2))) < 1e-5
 
 
+def shifts_rows(q, k, heads):
+    """Whether the forward takes each row of logits less its max: unless
+    the Cauchy–Schwarz bound s·max|q_i|·max|k_j| on every |logit| is within
+    ``_EXP_SAFE``. A NaN bound shifts."""
+    s = 1.0 / np.sqrt(q.shape[1] // heads)
+    bound = s * np.sqrt((q * q).sum(axis=1).max()) * np.sqrt((k * k).sum(axis=1).max())
+    return not bound <= _EXP_SAFE
+
+
 def per_head_attention(q, k, v, heads):
     """Each head on its own contiguous column slices, through 2-D products:
     per tile of ``ROW_TILE`` query rows, the logits against the pre-scaled
-    keys, less their row max, exponentiated, times the values, then divided
-    by the row sums. The heads' outputs are joined by columns."""
+    keys, less their row max when :func:`shifts_rows` says so,
+    exponentiated, times the values, then divided by the row sums. The
+    heads' outputs are joined by columns."""
     d = q.shape[1] // heads
+    shift = shifts_rows(q, k, heads)
     outs = []
     for h in range(heads):
         cols = slice(h * d, (h + 1) * d)
@@ -694,7 +706,7 @@ def per_head_attention(q, k, v, heads):
         rows = []
         for lo in range(0, len(q), ROW_TILE):
             p = qh[lo:lo + ROW_TILE] @ ks.T
-            p = np.exp(p - p.max(axis=1, keepdims=True))
+            p = np.exp(p - p.max(axis=1, keepdims=True) if shift else p)
             rows.append((p @ vh) / p.sum(axis=1, keepdims=True))
         outs.append(np.concatenate(rows))
     return np.concatenate(outs, axis=1)
@@ -703,15 +715,17 @@ def per_head_attention(q, k, v, heads):
 def query_tile_attention(q, k, v, heads):
     """The forward's arithmetic written out on the stacked (heads, N, d)
     layout: K scaled by 1/sqrt(d) first, then per tile of ``ROW_TILE`` query
-    rows the logits, less their row max, exponentiated, summed and multiplied
-    by V; the (heads, Nq, d) output is divided by the row sums at the end."""
+    rows the logits, less their row max when :func:`shifts_rows` says so,
+    exponentiated, summed and multiplied by V; the (heads, Nq, d) output is
+    divided by the row sums at the end."""
     qh, kh, vh = (_split_heads(x, heads) for x in (q, k, v))
     ks = kh * (1.0 / np.sqrt(q.shape[1] // heads))
+    shift = shifts_rows(q, k, heads)
     out, total = np.empty(qh.shape), np.empty(qh.shape[:2] + (1,))
     for lo in range(0, len(q), ROW_TILE):
         r = slice(lo, lo + ROW_TILE)
         p = qh[:, r] @ ks.transpose(0, 2, 1)
-        p = np.exp(p - p.max(axis=-1, keepdims=True))
+        p = np.exp(p - p.max(axis=-1, keepdims=True) if shift else p)
         total[:, r] = p.sum(axis=-1, keepdims=True)
         out[:, r] = p @ vh
     return _merge_heads(out / total)
@@ -754,13 +768,26 @@ class TestAttention:
         assert np.abs(out - ref).max() <= 1e-13 * np.abs(ref).max()
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
-    def test_matches_per_head_reference_exactly(self, heads):
+    def test_matches_per_head_reference_exactly(self, heads, shift_calls):
         # three query tiles, the last of 3 rows, against 70 keys
+        self._check_both_references(heads, 1.0)
+        assert shift_calls == [False]
+
+    @pytest.mark.parametrize("scale", [1e3, 1e6])
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    def test_scaled_queries_take_the_shifted_path_exactly(self, heads, scale, shift_calls):
+        # queries scaled by 1e3 or 1e6 put the logit bound past _EXP_SAFE,
+        # so the rows are shifted by their max
+        self._check_both_references(heads, scale)
+        assert shift_calls == [True]
+
+    def _check_both_references(self, heads, scale):
         rng = np.random.default_rng(heads)
-        q = rng.normal(size=(2 * ROW_TILE + 3, self.C))
+        q = rng.normal(size=(2 * ROW_TILE + 3, self.C)) * scale
         k, v = rng.normal(size=(70, self.C)), rng.normal(size=(70, self.C))
         out = attention(constant(q), constant(k), constant(v), heads).value
         assert np.array_equal(out, per_head_attention(q, k, v, heads))
+        assert np.array_equal(out, query_tile_attention(q, k, v, heads))
         self._assert_near_textbook(out, q, k, v, heads)
 
     @pytest.mark.parametrize("heads", [1, 2, 4])
@@ -796,14 +823,63 @@ class TestAttention:
     @pytest.mark.parametrize("heads", [1, 4])
     @pytest.mark.parametrize("nk", [1, 7, 192, 512, 576, 768])
     @pytest.mark.parametrize("nq", [1, 7, 192, 512, 576, 768])
-    def test_forward_matches_query_tile_reference_at_model_sizes(self, nq, nk, heads):
+    def test_forward_matches_query_tile_reference_at_model_sizes(self, nq, nk, heads,
+                                                                 shift_calls):
         # the token counts of the model's blocks: 192 and 576 lr, 512 pruned
         # hr, 768 hr in train_mid
         rng = np.random.default_rng(nq * 1000 + nk * 10 + heads)
         q, k, v = rng.normal(size=(nq, 32)), rng.normal(size=(nk, 32)), rng.normal(size=(nk, 32))
         out = attention(constant(q), constant(k), constant(v), heads).value
+        assert shift_calls == [False]
         assert np.array_equal(out, query_tile_attention(q, k, v, heads))
         self._assert_near_textbook(out, q, k, v, heads)
+
+    @pytest.mark.parametrize("heads", [1, 4])
+    @pytest.mark.parametrize("nk", [7, 70])
+    def test_logits_near_the_bound_stay_finite_and_exact(self, nk, heads, shift_calls):
+        # q and k rows of +-45/4 along one direction plus 0/+-1 noise that
+        # sums to 0 per row, in head 0's 16 columns (s = 1/4): every logit
+        # is exact in float64, 506.25 + n_i·m_j/4 or its negative, and the
+        # bound, 510.25 at most, just within _EXP_SAFE; unshifted, exp runs
+        # to about e^+-510, near both ends of its safe range
+        rng = np.random.default_rng(nk + heads)
+        d, nq = 16, ROW_TILE + 5
+
+        def rows(n, signs):
+            noise = rng.integers(-1, 2, size=(n, d // 2))
+            x = np.zeros((n, d * heads))
+            x[:, :d] = signs[:, None] * 45 / 4 + np.concatenate([noise, -noise], axis=1)
+            return x
+
+        q = rows(nq, np.where(np.arange(nq) % 2, -1.0, 1.0))
+        k = rows(nk, np.ones(nk))
+        v, g = rng.normal(size=(nk, d * heads)), rng.normal(size=(nq, d * heads))
+        logits = q[:, :d] @ k[:, :d].T / 4
+        assert 500 < np.abs(logits).max() and shifts_rows(q, k, heads) is False
+        node = attention(constant(q), constant(k), constant(v), heads)
+        grads = node._vjp(g)
+        assert shift_calls == [False]
+        assert np.array_equal(node.value, query_tile_attention(q, k, v, heads))
+        out, exact_vjp = textbook_attention(*(x.astype(np.longdouble) for x in (q, k, v)),
+                                            heads)
+        for got, ref in zip((node.value, *grads), (out, *exact_vjp(g.astype(np.longdouble)))):
+            assert np.isfinite(got).all()
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("where", ["q", "k"])
+    def test_nan_input_takes_the_shifted_path(self, where, shift_calls):
+        # a NaN bound shifts, as every call did before the bound existed: a
+        # NaN in a query row spoils that row of its head, one in a key row
+        # the whole head
+        heads, rng = 2, np.random.default_rng(3)
+        q, k, v = (rng.normal(size=(n, self.C)) for n in (self.NQ, self.NK, self.NK))
+        (q if where == "q" else k)[1, 5] = np.nan
+        out = attention(constant(q), constant(k), constant(v), heads).value
+        assert shift_calls == [True]
+        assert np.array_equal(out, query_tile_attention(q, k, v, heads), equal_nan=True)
+        spoiled = np.zeros_like(out, dtype=bool)
+        spoiled[1 if where == "q" else slice(None), 4:] = True
+        assert np.array_equal(np.isnan(out), spoiled)
 
     def test_forward_peak_memory_stays_near_one_tile(self):
         # the forward forms its logits one (heads, ROW_TILE, Nk) tile at a
