@@ -271,8 +271,9 @@ def _needs_shift(qv: np.ndarray, kv: np.ndarray, s: float) -> bool:
     """Whether attention must take each row of logits less its max before
     exp: unless the Cauchy–Schwarz bound s·max_i |q_i|·max_j |k_j| on each
     |logit| is within ``_EXP_SAFE``. e^±512 (2.3e222, 4.4e-223) is a normal
-    float64 about 1e85 inside either end of the range, so row sums and their
-    products with V stay finite while Nk·max|v| < 1e85. A NaN bound shifts."""
+    float64 about 1e85 inside either end of the range, so the row sums stay
+    finite; V is not checked, and the products with it stay finite only
+    while Nk·max|v| < 1e85 and normal while |v| > 1e-85. A NaN bound shifts."""
     return not (s * math.sqrt(np.vecdot(qv, qv).max())
                 * math.sqrt(np.vecdot(kv, kv).max())) <= _EXP_SAFE
 
@@ -289,7 +290,8 @@ def attention(q: DiffNode, k: DiffNode, v: DiffNode, heads: int) -> DiffNode:
     The forward's tile logits are Q (s·K)ᵀ, with the 1/sqrt(d) scale s taken
     by K once; exponentiated in place, less each row's max only where
     :func:`_needs_shift` says exp could leave its range (softmax ignores the
-    shift, so skipping it changes only rounding), their row sums give the
+    shift, so skipping it changes only rounding while Nk·max|v| < 1e85; the
+    unshifted products with V overflow past it), their row sums give the
     log-sum-exp L and their product with V the tile's output rows, which
     are divided by the sums after the last tile: Nq·d divisions, not Nq·Nk.
     Its bits follow the tile size and the shift. The VJP's P = exp(s·Q Kᵀ − L)

@@ -834,14 +834,17 @@ class TestAttention:
         assert np.array_equal(out, query_tile_attention(q, k, v, heads))
         self._assert_near_textbook(out, q, k, v, heads)
 
+    @pytest.mark.parametrize("v_scale", ["1", "1e-80", "1e80/nk"])
     @pytest.mark.parametrize("heads", [1, 4])
     @pytest.mark.parametrize("nk", [7, 70])
-    def test_logits_near_the_bound_stay_finite_and_exact(self, nk, heads, shift_calls):
+    def test_logits_near_the_bound_stay_finite_and_exact(self, nk, heads, v_scale,
+                                                         shift_calls):
         # q and k rows of +-45/4 along one direction plus 0/+-1 noise that
         # sums to 0 per row, in head 0's 16 columns (s = 1/4): every logit
         # is exact in float64, 506.25 + n_i·m_j/4 or its negative, and the
         # bound, 510.25 at most, just within _EXP_SAFE; unshifted, exp runs
-        # to about e^+-510, near both ends of its safe range
+        # to about e^+-510, near both ends of its safe range, and its
+        # products with values from 1e-80 to 1e80/nk stay normal and finite
         rng = np.random.default_rng(nk + heads)
         d, nq = 16, ROW_TILE + 5
 
@@ -854,6 +857,7 @@ class TestAttention:
         q = rows(nq, np.where(np.arange(nq) % 2, -1.0, 1.0))
         k = rows(nk, np.ones(nk))
         v, g = rng.normal(size=(nk, d * heads)), rng.normal(size=(nq, d * heads))
+        v *= {"1": 1.0, "1e-80": 1e-80, "1e80/nk": 1e80 / nk}[v_scale]
         logits = q[:, :d] @ k[:, :d].T / 4
         assert 500 < np.abs(logits).max() and shifts_rows(q, k, heads) is False
         node = attention(constant(q), constant(k), constant(v), heads)
