@@ -84,43 +84,42 @@ def forward_baseline(clip, cfg: ModelConfig, params: ModelParams):
     return decode_head(upsample_bilinear(key, cfg.grid, cfg.upsample_factor), cfg, params)
 
 
-def _time_variant(fn, warmup: int, iters: int):
-    """Latency, MACs and peak memory of ``fn``. One untimed call counts the
-    MACs and takes the ``tracemalloc`` peak (MiB above the memory in use when
-    it starts); the timed calls run untraced. A trace already running stays
-    on, though its peak reading restarts at that call."""
-    for _ in range(warmup):
-        fn()
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        with mac_tally() as tally:
+def _time_variants(variants: dict, warmup: int, iters: int) -> dict:
+    """Latency, MACs and peak memory of each of ``variants`` (name -> function).
+    Each variant's warm-up is followed by one untimed call that counts its
+    MACs and takes its ``tracemalloc`` peak (MiB above the memory in use when
+    it starts). The timed calls then run untraced and round-robin, one call of
+    each variant per iteration. A trace already running stays on, though its
+    peak reading restarts at each untimed call."""
+    results, times = {}, {name: [] for name in variants}
+    for name, fn in variants.items():
+        for _ in range(warmup):
             fn()
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
+        tracing = tracemalloc.is_tracing()
         if not tracing:
-            tracemalloc.stop()
-    times = []
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            with mac_tally() as tally:
+                fn()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        results[name] = {"macs": tally.macs, "peak_mb": peak / 2**20, "iters": iters}
     for _ in range(iters):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    times_ms = np.array(times) * 1e3
-    total_s = float(np.sum(times))
-    return {
-        "latency_ms": {
-            "mean": float(times_ms.mean()),
-            "p50": float(np.percentile(times_ms, 50)),
-            "p95": float(np.percentile(times_ms, 95)),
-        },
-        "throughput_per_s": iters / total_s,
-        "macs": tally.macs,
-        "peak_mb": peak / 2**20,
-        "iters": iters,
-    }
+        for name, fn in variants.items():
+            t0 = time.perf_counter()
+            fn()
+            times[name].append(time.perf_counter() - t0)
+    for name, ts in times.items():
+        ms = np.array(ts) * 1e3
+        latency = {"mean": float(ms.mean()), "p50": float(np.percentile(ms, 50)),
+                   "p95": float(np.percentile(ms, 95))}
+        results[name] = {"latency_ms": latency, "throughput_per_s": iters / float(np.sum(ts)),
+                         **results[name]}
+    return results
 
 
 def run_bench(cfg: ModelConfig, seed: int = 0, warmup: int = 1, iters: int = 10) -> dict:
@@ -136,9 +135,9 @@ def run_bench(cfg: ModelConfig, seed: int = 0, warmup: int = 1, iters: int = 10)
         "multi_grained": lambda: forward_full(clip, cfg_a, params),
         "multi_grained_pruned": lambda: forward_full(clip, cfg, params),
     }
-    results = {name: _time_variant(fn, warmup, iters) for name, fn in variants.items()}
     return _report("bench", {"model": dataclasses.asdict(cfg), "warmup": warmup,
-                             "iters": iters, "seed": seed}, variants=results)
+                             "iters": iters, "seed": seed},
+                   variants=_time_variants(variants, warmup, iters))
 
 
 def _train(samples, cfg: ModelConfig, params: ModelParams, steps: int, lr: float) -> list:
@@ -198,8 +197,8 @@ def run_ratio_grid(cfg: ModelConfig, ratios=(1, 3, 6, 10), seed: int = 0,
             try:
                 params = init_model_params(cell_cfg, seed)
                 loss = _train([(clip, target)], cell_cfg, params, train_steps, lr)[-1]
-                timing = _time_variant(lambda: forward_full(clip, cell_cfg, params),
-                                       warmup=1, iters=iters)
+                timing = _time_variants({"cell": lambda: forward_full(clip, cell_cfg, params)},
+                                        warmup=1, iters=iters)["cell"]
                 cell.update(final_loss=loss, macs=timing["macs"],
                             throughput_per_s=timing["throughput_per_s"])
             except Exception as e:  # keep going; a bad cell is data too

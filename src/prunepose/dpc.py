@@ -24,9 +24,12 @@ distance matrix. Both filter, then refine, in blocks of ``ROW_CHUNK`` rows:
   gives every pair ``|x_j|^2 - 2 x_i.x_j``, the squared distance less a
   per-row constant, in the scaled units. Its error against the float64 exact
   distance has a worst-case bound B (``_gram_filter``) that holds for any
-  summation order, thread count or FMA use. Every column within 2B of the
-  row's (k+1)-th smallest value (density), or of a peak's smallest over its
-  denser tokens (delta), is a candidate; no exact neighbour can fall outside.
+  summation order, thread count or FMA use; ``prune`` builds it once for both
+  passes. Every column within 2B of an upper bound on the row's (k+1)-th
+  smallest value (density: the (k+1)-th smallest minimum of about 256 strided
+  column groups, the one full read of each block, after which only the groups
+  within the limit are compared), or of a peak's smallest over its denser
+  tokens (delta), is a candidate; no exact neighbour can fall outside.
   Float32 halves the bytes each block pass reads, and the filter's precision
   only sets how many candidates the refine step scores.
 - refine: the exact kernel scores the candidates only. A block whose
@@ -40,6 +43,7 @@ float64 throughout and do not depend on the BLAS library or its settings.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -112,6 +116,8 @@ def _exact_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     over every axis but the last: coordinate differences squared and summed
     left to right, the arithmetic of the definition."""
     acc = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]))
+    if a.shape == b.shape:  # paired rows at once; broadcast ones in O(output) memory
+        return functools.reduce(np.add, np.moveaxis(np.square(a - b), -1, 0), acc)
     diff = np.empty_like(acc)
     for t in range(a.shape[-1]):
         np.subtract(a[..., t], b[..., t], out=diff)
@@ -193,22 +199,23 @@ def _limit(best: np.ndarray, bound: float) -> np.ndarray:
     return np.where(up < lim, np.nextafter(up, _MAX32), up)
 
 
-def _refine(a: np.ndarray, b: np.ndarray, cand: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _refine(a: np.ndarray, b: np.ndarray, i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact squared distances from the rows of ``a`` to the candidate columns
-    ``cand`` marks among the rows of ``b``, and the column of each.
+    among the rows of ``b``, given as (row, column) pairs sorted by row, and
+    the column of each.
 
     A short list is packed into one row per token, as wide as the longest and
     padded with +inf at column 0; one that would cost more than the dense
     block (huge offsets, identical rows) is refined as the dense block, +inf
     off the candidates, so memory stays O(rows * N).
     """
-    r, w = cand.shape
-    flat = np.flatnonzero(cand)  # much faster than a 2-D np.nonzero
-    if flat.size * a.shape[1] > r * w:
+    r, w = a.shape[0], b.shape[0]
+    if i.size * a.shape[1] > r * w:
         out = _exact_sq(a[:, None, :], b[None, :, :])
-        out[~cand] = np.inf
+        off = np.ones((r, w), dtype=bool)
+        off[i, j] = False
+        out[off] = np.inf
         return out, np.broadcast_to(np.arange(w), (r, w))
-    i, j = np.divmod(flat, w)
     counts = np.bincount(i, minlength=r)
     slot = np.arange(i.size) - (np.cumsum(counts) - counts)[i]
     out = np.full((r, counts.max()), np.inf)
@@ -228,36 +235,46 @@ def _tokens(tokens: np.ndarray) -> np.ndarray:
     return x
 
 
-def _nearest(x: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _nearest(x: np.ndarray, k: int, gram: tuple | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Each token's min(k, N - 1) nearest other tokens: their exact squared
-    distances in ascending order, and their row indices (ties in any order)."""
+    distances in ascending order, and their row indices (ties in any order),
+    through ``gram``, the Gram filter of ``x``, or one built here."""
     n = x.shape[0]
     k_eff = min(k, n - 1)
     dist = np.empty((n, k_eff))
     idx = np.empty((n, k_eff), dtype=np.intp)
     if k_eff == 0:
         return dist, idx
-    left, right, bound, _ = _gram_filter(x)
-    buf = np.empty(min(n, ROW_CHUNK) * n, dtype=np.float32)
-    # columns j mod ``groups`` form k_eff+1 or more disjoint groups, so the
-    # (k_eff+1)-th smallest group minimum bounds the row's (k_eff+1)-th
-    # smallest P from above, at a fraction of a full partition's cost
-    groups = min(n, max(256, k_eff + 1))
-    grouped = n // groups * groups
+    left, right, bound, _ = _gram_filter(x) if gram is None else gram
+    # columns j mod ``groups`` form k_eff+1 or more disjoint groups of ``per``
+    # (+inf pads the last few), so the (k_eff+1)-th smallest group minimum
+    # bounds the row's (k_eff+1)-th smallest P from above
+    per = max(1, n // max(256, k_eff + 1))
+    groups = -(-n // per)
+    buf = np.empty((min(n, ROW_CHUNK), per * groups), dtype=np.float32)
+    buf[:, n:] = np.inf
     for lo in range(0, n, ROW_CHUNK):
         hi = min(n, lo + ROW_CHUNK)
-        p = np.matmul(left[lo:hi], right, out=buf[:(hi - lo) * n].reshape(hi - lo, n))
+        block = buf[:hi - lo]
+        np.matmul(left[lo:hi], right, out=block[:, :n])
         # a row's k_eff+1 exact nearest, self included, lie within 2*bound
         # of its (k_eff+1)-th smallest P
-        mins = p[:, :grouped].reshape(hi - lo, -1, groups).min(axis=1)
-        limit = _limit(np.partition(mins, k_eff, axis=1)[:, k_eff], bound)
-        cand = p <= limit[:, None]
-        cand[np.arange(hi - lo), np.arange(lo, hi)] = False  # a token is not its own neighbour
-        d2, cols = _refine(x[lo:hi], x, cand)
+        mins = block.reshape(hi - lo, per, groups).min(axis=1)
+        limit = _limit(np.sort(mins, axis=1)[:, k_eff], bound)
+        block[np.arange(hi - lo), np.arange(lo, hi)] = np.inf  # a token is not its own neighbour
+        # only a group whose minimum is within the limit can hold a candidate;
+        # ``at`` indexes the flat block at each such group's ``per`` columns
+        f = np.flatnonzero(mins <= limit[:, None])
+        at = (f + f // groups * (buf.shape[1] - groups))[:, None] + groups * np.arange(per)
+        at = at[block.reshape(-1)[at] <= limit[f // groups, None]]
+        i, j = np.divmod(at, buf.shape[1])
+        del at
+        d2, cols = _refine(x[lo:hi], x, i, j)
         top = np.argpartition(d2, k_eff - 1, axis=1)[:, :k_eff]
         top = np.take_along_axis(top, np.argsort(np.take_along_axis(d2, top, axis=1), axis=1), axis=1)
         dist[lo:hi] = np.take_along_axis(d2, top, axis=1)
         idx[lo:hi] = np.take_along_axis(cols, top, axis=1)
+        del d2, cols, i, j  # a dense block's arrays, not to be held through the next
     return dist, idx
 
 
@@ -276,7 +293,8 @@ def local_density(tokens: np.ndarray, cfg: DpcConfig) -> np.ndarray:
 
 
 def delta_distance(tokens: np.ndarray, rho: np.ndarray,
-                   nearest: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                   nearest: tuple[np.ndarray, np.ndarray] | None = None,
+                   gram: tuple | None = None) -> np.ndarray:
     """Distance to the nearest denser token; max distance for the densest one.
 
     Density ties break toward the lower index (the lower index counts as
@@ -287,7 +305,8 @@ def delta_distance(tokens: np.ndarray, rho: np.ndarray,
     takes the nearest such one's distance: every token off the list lies at
     least as far away as the list's last. Only the rest, the local peaks, are
     filtered against all their denser tokens. Without a table, one is built
-    from each token's nearest other token.
+    from each token's nearest other token. ``gram`` is the tokens' Gram filter,
+    or None to build one here.
     """
     x = _tokens(tokens)
     n = x.shape[0]
@@ -299,28 +318,30 @@ def delta_distance(tokens: np.ndarray, rho: np.ndarray,
     order = np.lexsort((np.arange(n), -rho))  # densest first, index tie-break
     rank = np.empty(n, dtype=np.intp)
     rank[order] = np.arange(n)
-    dist, idx = _nearest(x, 1) if nearest is None else nearest
+    gram = _gram_filter(x) if gram is None else gram
+    dist, idx = _nearest(x, 1, gram) if nearest is None else nearest
     if dist.shape != idx.shape or dist.shape[0] != n:
         raise ValueError(f"nearest must hold two ({n}, k) arrays, got {dist.shape} and {idx.shape}")
     denser = rank[idx] < rank[:, None]
     nearest_d2 = np.empty(n)  # by rank; the densest and the peaks are set below
     nearest_d2[rank] = np.where(denser, dist, np.inf).min(axis=1, initial=np.inf)
     peaks = np.sort(rank[~denser.any(axis=1)])[1:]  # ranks left to the filter, less the densest
-    xo = x[order]  # in rank order a token's denser tokens are the rows before it
-    left, right, bound, _ = _gram_filter(xo)
+    # in rank order a token's denser tokens are the rows before it
+    xo, left, right, bound = x[order], gram[0][order], gram[1][:, order], gram[2]
     buf = np.empty(min(n, ROW_CHUNK) * n, dtype=np.float32)
-    later = np.triu(np.ones((ROW_CHUNK, ROW_CHUNK), dtype=bool))  # in-block, not denser
-    nearest_d2[0] = _exact_sq(xo[0], xo).max()
-    for lo in range(1, n, ROW_CHUNK):
-        hi = min(n, lo + ROW_CHUNK)
-        rows = peaks[np.searchsorted(peaks, lo):np.searchsorted(peaks, hi)]
-        if not rows.size:
-            continue
+    # the densest token's farthest lies within 2*bound of its largest P
+    far = -(left[0] @ right)
+    nearest_d2[0] = _exact_sq(xo[0], xo[far <= _limit(far.min(), bound)]).max()
+    for lo in range(0, peaks.size, ROW_CHUNK):
+        rows = peaks[lo:lo + ROW_CHUNK]
+        hi = rows[-1] + 1
         p = np.matmul(left[rows], right[:, :hi], out=buf[:rows.size * hi].reshape(rows.size, hi))
-        p[:, lo:hi][later[rows - lo, :hi - lo]] = np.inf
-        # the exact nearest denser token lies within 2*bound of the smallest P
-        cand = p <= _limit(p.min(axis=1), bound)[:, None]
-        nearest_d2[rows] = _refine(xo[rows], xo[:hi], cand)[0].min(axis=1)
+        # the nearest denser token lies within 2*bound of the least P before the row's own
+        at = np.arange(0, p.size, hi)
+        best = np.minimum.reduceat(p.reshape(-1), np.stack([at, at + rows], axis=1).ravel())[::2]
+        f = np.flatnonzero(p <= _limit(best, bound)[:, None])
+        f = f[f % hi < rows[f // hi]]
+        nearest_d2[rows] = _refine(xo[rows], xo[:hi], *np.divmod(f, hi))[0].min(axis=1)
     out = np.empty(n)
     # sqrt is monotone and correctly rounded: sqrt(min(d2)) == min(sqrt(d2))
     out[order] = np.sqrt(nearest_d2)
@@ -332,13 +353,14 @@ def prune(tokens: np.ndarray, cfg: DpcConfig) -> tuple[DpcScores, PruneSelection
 
     Score ties break toward the lower index. Kept indices are returned in
     ascending order so downstream positional structure survives. One
-    neighbour pass serves both scores: delta reads density's table.
+    neighbour pass and one Gram filter serve both scores.
     """
     x = _tokens(tokens)
     n = x.shape[0]
-    nearest = _nearest(x, cfg.k)
+    gram = _gram_filter(x)
+    nearest = _nearest(x, cfg.k, gram)
     rho = _density(nearest[0], cfg.resolved_tau(x.shape[1]))
-    delta = delta_distance(x, rho, nearest)
+    delta = delta_distance(x, rho, nearest, gram)
     score = rho * delta
     n_keep = max(1, n // cfg.epsilon)
     by_score = np.lexsort((np.arange(n), -score))

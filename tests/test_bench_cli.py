@@ -4,9 +4,11 @@ import os
 import re
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -78,7 +80,7 @@ class TestBenchConfig:
 class TestBench:
     def test_report_config_keeps_the_committed_layout(self):
         report = bench.run_bench(TINY, seed=2, warmup=0, iters=1)
-        committed = json.loads((Path(__file__).parents[1] / "BENCH_3.json").read_text())
+        committed = json.loads((Path(__file__).parents[1] / "BENCH_4.json").read_text())
         assert list(report["config"]) == list(committed["config"]) == [
             "model", "warmup", "iters", "seed"]
         assert list(report["config"]["model"]) == list(committed["config"]["model"])
@@ -89,6 +91,39 @@ class TestBench:
         variants = bench.run_bench(TINY, warmup=0, iters=1)["variants"]
         assert all(v["peak_mb"] > 0 for v in variants.values())
         assert variants["multi_grained"]["peak_mb"] >= variants["multi_grained_pruned"]["peak_mb"]
+
+    def test_timed_calls_alternate_between_variants(self, monkeypatch):
+        # each variant warms up and takes its untimed MAC and memory call in
+        # turn; then every timed iteration calls each variant once, so no
+        # variant always runs right after the same one
+        log = []
+        baseline, full, clock = bench.forward_baseline, bench.forward_full, time.perf_counter
+
+        def baseline_spy(*args):
+            log.append("baseline")
+            return baseline(*args)
+
+        def full_spy(clip, cfg, params):
+            log.append("multi_grained_pruned" if cfg is TINY else "multi_grained")
+            return full(clip, cfg, params)
+
+        def clock_spy():
+            log.append("clock")
+            return clock()
+
+        monkeypatch.setattr(bench, "forward_baseline", baseline_spy)
+        monkeypatch.setattr(bench, "forward_full", full_spy)
+        monkeypatch.setattr(bench, "time", SimpleNamespace(perf_counter=clock_spy))
+        report = bench.run_bench(TINY, warmup=2, iters=3)
+        monkeypatch.undo()
+        names = list(report["variants"])
+        assert names == ["baseline", "multi_grained", "multi_grained_pruned"]
+        timed = [log[i] for i in range(1, len(log) - 1)
+                 if log[i - 1] == log[i + 1] == "clock" != log[i]]
+        assert timed == names * 3
+        first = log.index("clock")
+        assert log[:first] == [name for name in names for _ in range(2 + 1)]
+        assert log[first:].count("clock") == 2 * len(timed)
 
     def test_a_running_trace_stays_on(self):
         tracemalloc.start()

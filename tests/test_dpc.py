@@ -75,13 +75,18 @@ def spy_exact_sq(monkeypatch):
 
 
 def spy_refine(monkeypatch):
-    """The (a, b, cand) of every ``_refine`` call from here on."""
+    """The (a, b, cand) of every ``_refine`` call from here on, its (row,
+    column) pairs, checked to be sorted by row and distinct, as a mask."""
     calls = []
     refine = dpc._refine
 
-    def spy(a, b, cand):
-        calls.append((a, b, cand.copy()))
-        return refine(a, b, cand)
+    def spy(a, b, i, j):
+        assert np.all(np.diff(i) >= 0)
+        cand = np.zeros((a.shape[0], b.shape[0]), dtype=bool)
+        cand[i, j] = True
+        assert np.count_nonzero(cand) == i.size
+        calls.append((a, b, cand))
+        return refine(a, b, i, j)
 
     monkeypatch.setattr(dpc, "_refine", spy)
     return calls
@@ -101,6 +106,47 @@ def assert_every_column_a_candidate(calls, n):
     for a, b, cand in calls[blocks:]:  # delta, in rank order: the rows of b before a row's own
         own = np.array([np.flatnonzero((b == row).all(axis=1))[0] for row in a])
         assert np.array_equal(cand, np.arange(len(b)) < own[:, None])
+
+
+@pytest.fixture(scope="module")
+def model_tokens():
+    """The hr (3072 x 32) and lr (576 x 32) tokens ``prune`` sees in one
+    default pruned forward, by token count."""
+    from prunepose.model import ModelConfig, forward_full, init_model_params
+    from prunepose.synth import SynthScene, make_triplet_sample
+
+    seen = {}
+    prune_ = dpc.prune
+
+    def spy(tokens, cfg):
+        seen[len(tokens)] = np.array(tokens)
+        return prune_(tokens, cfg)
+
+    cfg = ModelConfig()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dpc, "prune", spy)
+        forward_full(make_triplet_sample(SynthScene(seed=0), cfg)[0], cfg, init_model_params(cfg, 0))
+    return seen
+
+
+class CountedBlock(np.ndarray):
+    """A Gram block that logs each reduction over it and each comparison of
+    its entries: ("reduce", entries read, result) and ("compare", entries)."""
+
+    log = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        size = sum(a.size for a in inputs if isinstance(a, CountedBlock))
+        plain = [a.view(np.ndarray) if isinstance(a, CountedBlock) else a for a in inputs]
+        if "out" in kwargs:
+            kwargs["out"] = tuple(o.view(np.ndarray) if isinstance(o, CountedBlock) else o
+                                  for o in kwargs["out"])
+        out = getattr(ufunc, method)(*plain, **kwargs)
+        if method == "reduce":
+            CountedBlock.log.append(("reduce", size, out))
+        elif ufunc in (np.less_equal, np.less, np.greater_equal, np.greater):
+            CountedBlock.log.append(("compare", size))
+        return out
 
 
 def assert_matches_dense_reference(x, cfg):
@@ -446,10 +492,11 @@ class TestFilterAndRefine:
     def test_delta_filters_only_the_peaks(self, monkeypatch):
         # prune hands delta the density pass's neighbour table, so the delta
         # filter's Gram product sees only the rows that table leaves
-        # unresolved, not all N - 1 rows a second full pass would send it
+        # unresolved, not all N - 1 rows a second full pass would send it;
+        # delta reads the density pass's filter in rank order, not a second one
         n = 3072
         x = np.random.default_rng(30).normal(size=(n, 32))
-        rights, delta_rows = [], []
+        rights, density_rows, delta_rows = [], [], []
         gram_filter, matmul = dpc._gram_filter, np.matmul
 
         def filter_spy(tokens):
@@ -458,18 +505,98 @@ class TestFilterAndRefine:
             return factors
 
         def matmul_spy(a, b, *args, **kwargs):
-            if len(rights) == 2 and (b is rights[1] or b.base is rights[1]):
-                delta_rows.append(a.shape[0])
+            (density_rows if b is rights[0] else delta_rows).append(a.shape[0])
             return matmul(a, b, *args, **kwargs)
 
         monkeypatch.setattr(dpc, "_gram_filter", filter_spy)
         monkeypatch.setattr(np, "matmul", matmul_spy)
         scores, _ = prune(x, DpcConfig(k=5, epsilon=6))
         monkeypatch.undo()
-        assert len(rights) == 2
+        assert len(rights) == 1  # one filter serves both passes
+        assert sum(density_rows) == n
         assert 0 < sum(delta_rows) < 0.15 * n
         assert sum(delta_rows) == len(local_peaks(x, 5)[0]) - 1  # less the densest
         assert np.array_equal(scores.delta, delta_distance(x, scores.rho))
+
+    @pytest.mark.parametrize("case", ["hr_model", "lr_model", "700", "257", "3071",
+                                      "repeated_8", "offset"])
+    def test_scan_pairs_equal_the_full_compare(self, monkeypatch, model_tokens, case):
+        # a group whose minimum exceeds the limit holds no column within it,
+        # so the group scan must hand the refine exactly the pairs a full
+        # compare of the block would, less the diagonal; 3071 tokens form
+        # groups short of a column, which are padded
+        rng = np.random.default_rng(50)
+        x = {
+            "hr_model": lambda: model_tokens[3072],
+            "lr_model": lambda: model_tokens[576],
+            "700": lambda: rng.normal(size=(700, 32)),
+            "257": lambda: rng.normal(size=(257, 32)),
+            "3071": lambda: rng.normal(size=(3071, 32)),
+            "repeated_8": lambda: np.repeat(rng.normal(size=(128, 32)), 8, axis=0),
+            "offset": lambda: 1e3 + 1e-3 * rng.normal(size=(1024, 16)),
+        }[case]()
+        products, limits = [], []
+        matmul, limit = np.matmul, dpc._limit
+
+        def matmul_spy(*args, **kwargs):
+            out = matmul(*args, **kwargs)
+            products.append(out.copy())
+            return out
+
+        def limit_spy(best, bound):
+            limits.append(limit(best, bound))
+            return limits[-1]
+
+        monkeypatch.setattr(np, "matmul", matmul_spy)
+        monkeypatch.setattr(dpc, "_limit", limit_spy)
+        calls = spy_refine(monkeypatch)
+        dpc._nearest(x, 5)
+        monkeypatch.undo()
+        n = len(x)
+        assert len(products) == len(limits) == len(calls) == -(-n // dpc.ROW_CHUNK)
+        lo = 0
+        for p, lim, (a, _, cand) in zip(products, limits, calls):
+            want = p <= lim[:, None]
+            want[np.arange(len(a)), np.arange(lo, lo + len(a))] = False
+            assert np.array_equal(cand, want)
+            lo += len(a)
+
+    def test_density_pass_compares_only_the_passing_groups(self, monkeypatch):
+        # each block is read in full once, by the group minima; after that
+        # only the groups whose minimum is within the limit are compared,
+        # never the whole (rows, N) block
+        n = 3072
+        x = np.random.default_rng(31).normal(size=(n, 32))
+        empty, limit = np.empty, dpc._limit
+        CountedBlock.log = []
+
+        def empty_spy(shape, dtype=float, *args, **kwargs):
+            out = empty(shape, dtype, *args, **kwargs)
+            if out.ndim == 2 and out.dtype == np.float32 and out.shape[1] >= n:
+                out = out.view(CountedBlock)
+            return out
+
+        def limit_spy(best, bound):
+            out = limit(best, bound)
+            CountedBlock.log.append(("limit", out))
+            return out
+
+        monkeypatch.setattr(np, "empty", empty_spy)
+        monkeypatch.setattr(dpc, "_limit", limit_spy)
+        dist, idx = dpc._nearest(x, 5)
+        monkeypatch.undo()
+        blocks = [i for i, entry in enumerate(CountedBlock.log) if entry[0] == "reduce"]
+        assert len(blocks) == n // dpc.ROW_CHUNK
+        for start, end in zip(blocks, blocks[1:] + [len(CountedBlock.log)]):
+            (_, read, mins), (kind, lim), *compares = CountedBlock.log[start:end]
+            rows, groups = mins.shape
+            assert kind == "limit" and read == rows * n  # one full read, by the minima
+            assert all(kind == "compare" for kind, _ in compares)
+            passing = np.count_nonzero(mins <= lim[:, None])
+            assert 0 < sum(size for _, size in compares) <= passing * (n // groups)
+            assert passing * (n // groups) < rows * n / 16
+        want_dist, want_idx = dpc._nearest(x, 5)
+        assert np.array_equal(dist, want_dist) and np.array_equal(idx, want_idx)
 
     def test_all_identical_rows(self):
         x = np.tile(np.random.default_rng(22).normal(size=(1, 8)), (3072, 1))
